@@ -32,6 +32,9 @@
 // (hours of virtual time in four quarters) asserting memory and telemetry-
 // registry stability. Emits BENCH_chaos.json; scripts/check.sh gates the
 // retention ratio, zero invariant violations, and the soak growth bounds.
+//
+// The host wall time of each task (scale x mode run, chaos sweep, soak) goes
+// to stderr, so the next long pole is visible without a profiler.
 
 #include <unistd.h>
 
@@ -40,6 +43,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 #include <vector>
@@ -61,6 +65,18 @@ namespace {
 using namespace mccs;
 
 constexpr std::uint64_t kSeed = 20240607;
+
+/// Runs `task` and reports its host wall time on stderr.
+template <class F>
+void timed_task(const std::string& name, F&& task) {
+  const auto t0 = std::chrono::steady_clock::now();
+  task();
+  std::fprintf(stderr, "cluster_day task %-26s wall %.3f s\n", name.c_str(),
+               std::chrono::duration<double>(
+                   std::chrono::steady_clock::now() - t0)
+                   .count());
+}
+
 /// Route indices reserved for high-priority tenants (PFA).
 const std::unordered_set<std::uint32_t> kReservedRoutes{0, 1};
 
@@ -515,8 +531,12 @@ int main() {
 
   for (const Scale& scale : scales()) {
     const int gpus = scale.spec.num_spines == 16 ? 1024 : 4096;
-    ModeResult full = run_mode(scale, /*incremental=*/false);
-    ModeResult inc = run_mode(scale, /*incremental=*/true);
+    ModeResult full;
+    ModeResult inc;
+    timed_task(std::string(scale.name) + " full",
+               [&] { full = run_mode(scale, /*incremental=*/false); });
+    timed_task(std::string(scale.name) + " incremental",
+               [&] { inc = run_mode(scale, /*incremental=*/true); });
     const bool identical = full.assignment_digest == inc.assignment_digest &&
                            full.mid_assignments == inc.mid_assignments;
 
@@ -570,16 +590,18 @@ int main() {
   const int seeds = chaos_seed_count();
   ChaosAgg reconfig_agg;
   ChaosAgg rehash_agg;
-  for (int i = 0; i < seeds; ++i) {
-    const std::uint64_t seed = 0xbadc0deull + static_cast<std::uint64_t>(i);
-    workload::ChaosChurnSpec spec = base;
-    spec.reconfig = true;
-    spec.poison = i % 3 == 2;  // every third seed proves the self-heal path
-    reconfig_agg.add(workload::run_chaos_churn(spec, seed));
-    spec.reconfig = false;
-    spec.poison = false;
-    rehash_agg.add(workload::run_chaos_churn(spec, seed));
-  }
+  timed_task("chaos sweep", [&] {
+    for (int i = 0; i < seeds; ++i) {
+      const std::uint64_t seed = 0xbadc0deull + static_cast<std::uint64_t>(i);
+      workload::ChaosChurnSpec spec = base;
+      spec.reconfig = true;
+      spec.poison = i % 3 == 2;  // every third seed proves the self-heal path
+      reconfig_agg.add(workload::run_chaos_churn(spec, seed));
+      spec.reconfig = false;
+      spec.poison = false;
+      rehash_agg.add(workload::run_chaos_churn(spec, seed));
+    }
+  });
   const double loss_reconfig =
       std::max(1e-9, 1.0 - reconfig_agg.retention_mean());
   const double loss_rehash = 1.0 - rehash_agg.retention_mean();
@@ -607,7 +629,7 @@ int main() {
       reconfig_agg.violations + rehash_agg.violations);
 
   std::printf("=== chaos_soak: 4k-GPU Clos, %d virtual hours ===\n\n", 16);
-  run_soak(cjson, scales()[1]);
+  timed_task("chaos soak", [&] { run_soak(cjson, scales()[1]); });
   std::fclose(cjson);
   std::printf("\nBENCH_chaos.json written (sweep + summary + soak).\n");
   return 0;

@@ -15,7 +15,11 @@
 //
 // Placements and start times are precomputed once per (run, placement) and
 // shared by all three solutions, so per-job speedups compare like with like.
+//
+// stdout is deterministic (golden-checked); the host wall time of each
+// (run, solution) task goes to stderr.
 
+#include <chrono>
 #include <cstdio>
 #include <map>
 #include <memory>
@@ -253,14 +257,24 @@ int main() {
       plans.push_back(make_plan(cl, placement, rng));
     }
     std::vector<std::vector<double>> times(kRuns * kNumSolutions);
+    std::vector<double> task_wall_s(times.size());
     par::parallel_for(
         times.size(), 1, [&](std::size_t begin, std::size_t end) {
           for (std::size_t t = begin; t < end; ++t) {
             const std::size_t run = t / kNumSolutions;
+            const auto t0 = std::chrono::steady_clock::now();
             times[t] = run_solution(cl, plans[run], kSolutions[t % kNumSolutions],
                                     50 + static_cast<std::uint64_t>(run));
+            task_wall_s[t] = std::chrono::duration<double>(
+                                 std::chrono::steady_clock::now() - t0)
+                                 .count();
           }
         });
+    for (std::size_t t = 0; t < times.size(); ++t) {
+      std::fprintf(stderr, "fig11 task %-17s run %zu %-16s wall %.3f s\n",
+                   pname, t / kNumSolutions,
+                   solution_name(kSolutions[t % kNumSolutions]), task_wall_s[t]);
+    }
     for (int run = 0; run < kRuns; ++run) {
       // Primary baseline: random host-order rings (NCCL's intra-host
       // detection intact). The gpu-order variant — what a tenant gets when

@@ -24,7 +24,10 @@
 //   * kind=identity rows: a trimmed workload run under both engine modes —
 //     digests must match (component-scoped == global oracle) — plus the
 //     compile-time bytes-per-flow-state split (hot SoA / solve params /
-//     cold) that EXPERIMENTS.md quotes.
+//     cold) that EXPERIMENTS.md quotes;
+//   * kind=coalesce rows: the full workload with solve batching off against
+//     the threads=1 perf run — solve counts and wall time of both modes, and
+//     whether every flow completed at the identical virtual time.
 
 #include <chrono>
 #include <cstdio>
@@ -543,24 +546,27 @@ int main() {
                         : static_cast<double>(unb.solves) /
                               static_cast<double>(bat.solves);
     std::printf("%-6d %-10s %8s %10llu %9.3f  solves %llu -> %llu "
-                "(%.2fx, width %.1f) digest_identical=%s\n",
+                "(%.2fx, width %.1f), wall %.3f -> %.3f s "
+                "digest_identical=%s\n",
                 gpus, "coalesce", "-",
                 static_cast<unsigned long long>(unb.events), unb.wall_s,
                 static_cast<unsigned long long>(unb.solves),
                 static_cast<unsigned long long>(bat.solves), reduction,
-                bat.mean_batch_width(), digest_identical ? "yes" : "NO");
+                bat.mean_batch_width(), unb.wall_s, bat.wall_s,
+                digest_identical ? "yes" : "NO");
     std::fprintf(sjson,
                  "{\"bench\":\"micro_flowsim_scale\",\"kind\":\"coalesce\","
                  "\"gpus\":%d,\"events\":%llu,\"solves_batched\":%llu,"
                  "\"solves_unbatched\":%llu,\"solves_per_event_batched\":%.4f,"
                  "\"solves_per_event_unbatched\":%.4f,"
                  "\"mean_batch_width\":%.2f,\"reduction\":%.2f,"
+                 "\"wall_s_batched\":%.6f,\"wall_s_unbatched\":%.6f,"
                  "\"digest_identical\":%s}\n",
                  gpus, static_cast<unsigned long long>(bat.events),
                  static_cast<unsigned long long>(bat.solves),
                  static_cast<unsigned long long>(unb.solves),
                  bat.solves_per_event(), unb.solves_per_event(),
-                 bat.mean_batch_width(), reduction,
+                 bat.mean_batch_width(), reduction, bat.wall_s, unb.wall_s,
                  digest_identical ? "true" : "false");
     all_identical = all_identical && digest_identical;
   }

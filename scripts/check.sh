@@ -164,7 +164,7 @@ id_keys = {"bench", "kind", "gpus", "threads_identical",
 co_keys = {"bench", "kind", "gpus", "events", "solves_batched",
            "solves_unbatched", "solves_per_event_batched",
            "solves_per_event_unbatched", "mean_batch_width", "reduction",
-           "digest_identical"}
+           "wall_s_batched", "wall_s_unbatched", "digest_identical"}
 perf, ident, coal = {}, {}, {}
 for i, line in enumerate((l for l in open(sys.argv[1]) if l.strip()), 1):
     rec = json.loads(line)
@@ -198,6 +198,13 @@ for (gpus, threads), rec in sorted(perf.items()):
     other = perf[(gpus, 1 if threads == 8 else 8)]
     if rec["digest"] != other["digest"]:
         sys.exit(f"FAIL: {gpus}-GPU digests differ between thread counts")
+# The netsim solve is serial (DESIGN.md §10): a wide task pool must not make
+# a scale point slower than the inline run beyond noise.
+for gpus in sorted(scales):
+    w1, w8 = perf[(gpus, 1)]["wall_s"], perf[(gpus, 8)]["wall_s"]
+    if w8 > 1.2 * w1:
+        sys.exit(f"FAIL: {gpus}-GPU threads=8 wall {w8:.3f}s > 1.2x "
+                 f"threads=1 wall {w1:.3f}s")
 
 # Solve coalescing (DESIGN.md §15): batched and unbatched runs must complete
 # every flow at the bitwise-identical virtual time, and batching must pay for
@@ -369,7 +376,7 @@ for threads in 1 8; do
   export MCCS_THREADS="$threads"
   echo "== telemetry-disabled golden outputs (MCCS_THREADS=${threads}) =="
   for fig in fig06_single_app fig07_reconfig fig08_multi_app fig09_qos_jct \
-             fig10_dynamic_policy; do
+             fig10_dynamic_policy fig11_sim_cdf; do
     golden="bench/goldens/${fig}.txt"
     [[ -s "$golden" ]] || { echo "FAIL: $golden missing" >&2; exit 1; }
     (cd build/bench && "./${fig}") > "build/bench/${fig}.out"
@@ -463,22 +470,24 @@ pljson=build/bench/BENCH_parallel.json
 [[ -s "$pljson" ]] || { echo "FAIL: $pljson missing or empty" >&2; exit 1; }
 
 # Schema per section plus the scaling gate: on a machine with >= 4 cores, at
-# least two of the sweep sections (component_solve, sharded_reduce,
-# seed_sweep) must reach >= 2x speedup at the max thread count. On smaller
-# machines the records are still schema-checked but the speedup gate is
-# skipped — a 1-core container cannot speed anything up.
+# least two of the sweep sections (sharded_reduce, seed_sweep) must reach
+# >= 2x speedup at the max thread count. On smaller machines the records are
+# still schema-checked but the speedup gate is skipped — a 1-core container
+# cannot speed anything up. Every record also carries effective_cores (a
+# fixed spin timed on N threads), which shows when `cores` overstates the
+# parallelism the host actually delivers.
 if command -v python3 >/dev/null 2>&1; then
   python3 - "$pljson" <<'EOF'
 import json, sys
 
 expected = {
-    "dispatch": {"bench", "section", "threads", "cores", "ns_per_dispatch"},
-    "component_solve": {"bench", "section", "threads", "cores", "gpus",
-                        "wall_s", "speedup_vs_1thread"},
-    "sharded_reduce": {"bench", "section", "threads", "cores", "buffer_mib",
-                       "gbytes_per_sec", "speedup_vs_1thread"},
-    "seed_sweep": {"bench", "section", "threads", "cores", "seeds", "wall_s",
-                   "speedup_vs_1thread"},
+    "dispatch": {"bench", "section", "threads", "cores", "effective_cores",
+                 "ns_per_dispatch"},
+    "sharded_reduce": {"bench", "section", "threads", "cores",
+                       "effective_cores", "buffer_mib", "gbytes_per_sec",
+                       "speedup_vs_1thread"},
+    "seed_sweep": {"bench", "section", "threads", "cores", "effective_cores",
+                   "seeds", "wall_s", "speedup_vs_1thread"},
 }
 lines = [l for l in open(sys.argv[1]) if l.strip()]
 if not lines:
@@ -516,7 +525,7 @@ EOF
 else
   while IFS= read -r line; do
     [[ -z "$line" ]] && continue
-    for key in bench section threads cores; do
+    for key in bench section threads cores effective_cores; do
       grep -q "\"$key\":" <<<"$line" || {
         echo "FAIL: missing key '$key' in: $line" >&2; exit 1;
       }

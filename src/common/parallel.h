@@ -1,6 +1,7 @@
 #pragma once
-// Deterministic fork-join task pool shared by every parallel layer (netsim
-// component solves, sharded reductions, FFA route scoring, seed sweeps).
+// Deterministic fork-join task pool for coarse-grained work: sharded
+// reductions, independent benchmark runs, seed sweeps. A dispatch costs
+// microseconds, so per-solve or per-route work stays serial (DESIGN.md §10).
 //
 // Design constraints, in priority order:
 //
@@ -18,8 +19,7 @@
 //     blocking on a condvar, so a dispatch that follows another closely pays
 //     a cache-line read rather than a futex wakeup. Chunk claiming is
 //     mutex-based: a claim costs tens of nanoseconds, which is noise at the
-//     intended grain (a max-min component solve, a 256 KiB reduce shard, a
-//     whole simulated seed).
+//     intended grain (a 256 KiB reduce shard, a whole simulated seed).
 //
 // Thread count resolution: ParallelOptions::threads > 0 wins; otherwise the
 // MCCS_THREADS environment variable; otherwise std::thread::

@@ -5,8 +5,6 @@
 #include <cstring>
 #include <string>
 
-#include "common/parallel.h"
-
 namespace mccs::net {
 namespace {
 
@@ -778,11 +776,9 @@ void Network::allocate_component() {
   // cancelled flow's path, a failed link — can gather flows that share no
   // link with each other; each such sub-component's max-min solution only
   // involves its own links and flows, so solving them separately is
-  // arithmetically identical to the joint solve, and independent solves can
-  // run concurrently on the task pool. Rates, progress integration, and
-  // completion events are applied serially afterwards in ascending flow-id
-  // order, so the event-loop insertion order (and therefore every simulated
-  // outcome) is independent of the thread count.
+  // arithmetically identical to the joint solve. Rates, progress
+  // integration, and completion events are applied afterwards in ascending
+  // flow-id order across all sub-components.
   for (std::uint32_t l : comp_links_) uf_parent_[l] = l;
   auto find_root = [this](std::uint32_t l) {
     while (uf_parent_[l] != l) {
@@ -827,9 +823,6 @@ void Network::allocate_component() {
     sc.background.clear();
     sc.normal.clear();
     sc.links.clear();
-    sc.unsatisfied.clear();
-    sc.bg_ok = true;
-    sc.normal_ok = true;
     sc.dirty = false;
   }
 
@@ -873,13 +866,13 @@ void Network::allocate_component() {
     }
   }
 
-  // Solve the sub-components — concurrently when there are several and the
-  // pool has width. The shared link-indexed scratch arrays (residual_,
-  // weight_scratch_) are safe: disjoint sub-components touch disjoint link
-  // entries. Background flows take their demand with strict priority first,
-  // sharing capacity weighted by demand if oversubscribed; normal flows
-  // max-min share the remainder.
-  auto solve_one = [this](SubComp& sc) {
+  // Solve the sub-components in order. Background flows take their demand
+  // with strict priority first, sharing capacity weighted by demand if
+  // oversubscribed; normal flows max-min share the remainder.
+  unsatisfied_scratch_.clear();
+  bool ok = true;
+  for (std::size_t i = 0; i < num_comps; ++i) {
+    SubComp& sc = comps_[i];
     for (std::uint32_t l : sc.links) {
       // Effective capacity folds in the administrative link state: degraded
       // links keep a fraction, down links contribute zero (their flows come
@@ -887,36 +880,12 @@ void Network::allocate_component() {
       // event).
       residual_[l] = topo_->link(LinkId{l}).capacity * capacity_scale_[l];
     }
-    sc.bg_ok = max_min_allocate(sc.background, residual_, weight_scratch_,
-                                sc.links, sc.unsatisfied);
-    sc.normal_ok = max_min_allocate(sc.normal, residual_, weight_scratch_,
-                                    sc.links, sc.unsatisfied);
-  };
-  // Only hand the solves to the pool when the reallocation is wide enough to
-  // amortise a dispatch: the common incremental case — one small component of
-  // a few flows — costs less than waking a worker. The partition above always
-  // runs, and each sub-component's arithmetic is identical either way, so the
-  // execution vehicle can never change a rate.
-  constexpr std::size_t kParallelSolveMinFlows = 32;
-  if (num_comps > 1 && comp_flows_.size() >= kParallelSolveMinFlows) {
-    par::parallel_for(num_comps, 1, [&](std::size_t begin, std::size_t end) {
-      for (std::size_t i = begin; i < end; ++i) solve_one(comps_[i]);
-    });
-  } else {
-    for (std::size_t i = 0; i < num_comps; ++i) solve_one(comps_[i]);
+    ok = max_min_allocate(sc.background, residual_, weight_scratch_, sc.links,
+                          unsatisfied_scratch_) && ok;
+    ok = max_min_allocate(sc.normal, residual_, weight_scratch_, sc.links,
+                          unsatisfied_scratch_) && ok;
   }
-
-  unsatisfied_scratch_.clear();
-  bool bg_ok = true;
-  bool normal_ok = true;
-  for (std::size_t i = 0; i < num_comps; ++i) {
-    SubComp& sc = comps_[i];
-    bg_ok = bg_ok && sc.bg_ok;
-    normal_ok = normal_ok && sc.normal_ok;
-    unsatisfied_scratch_.insert(unsatisfied_scratch_.end(),
-                                sc.unsatisfied.begin(), sc.unsatisfied.end());
-  }
-  if (!bg_ok || !normal_ok) {
+  if (!ok) {
     ++allocation_error_count_;
     if (allocation_error_handler_) {
       AllocationError err;
@@ -934,20 +903,20 @@ void Network::allocate_component() {
     }
   }
 
-  // Apply the solved rates serially, iterating comp_flows_ in ascending id
-  // order across all sub-components (each sub-component's lists were built
-  // in that same order, so per-component cursors walk them in lockstep).
-  // This reproduces the exact completion-event insertion order of the
-  // sequential solver regardless of how many threads solved above. A flow
-  // in a clean sub-component whose rate is bitwise unchanged keeps its rate,
-  // its un-integrated progress, and its already-scheduled completion event —
-  // the lazy fast path that lets an untouched bottleneck component cost
-  // nothing (a
-  // component whose flow set did not change re-derives the identical bits:
-  // the solve iterates flows in ascending id order, so its arithmetic
-  // depends only on the component's content, never on the seed that found
-  // it). Exact comparison, not an epsilon: a tolerance would let a flow keep
-  // running at a stale near-equal rate, and *which* intermediate rate it
+  // Apply the solved rates, iterating comp_flows_ in ascending id order
+  // across all sub-components (each sub-component's lists were built in that
+  // same order, so per-component cursors walk them in lockstep). This
+  // reproduces the exact completion-event insertion order of a joint solve
+  // over the whole collected set.
+  //
+  // A flow in a clean sub-component whose rate is bitwise unchanged keeps its
+  // rate, its un-integrated progress, and its already-scheduled completion
+  // event — the lazy fast path that lets an untouched bottleneck component
+  // cost nothing (a component whose flow set did not change re-derives the
+  // identical bits: the solve iterates flows in ascending id order, so its
+  // arithmetic depends only on the component's content, never on the seed that
+  // found it). Exact comparison, not an epsilon: a tolerance would let a flow
+  // keep running at a stale near-equal rate, and *which* intermediate rate it
   // kept would depend on how the mutations that produced this state were
   // grouped into solves — breaking the batched/unbatched completion-time
   // identity that solve coalescing is built on.

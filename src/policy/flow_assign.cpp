@@ -6,7 +6,6 @@
 #include <limits>
 
 #include "collectives/compiler.h"
-#include "common/parallel.h"
 #include "netsim/network.h"
 
 namespace mccs::policy {
@@ -74,14 +73,6 @@ void collect_flows(std::size_t item_index, const AssignItem& item,
 ///  * high-priority flows slightly prefer the reserved routes they alone may
 ///    use (PFA dedicates those routes to them).
 /// Remaining ties break to the lowest route index (deterministic).
-/// Candidate routes worth a pool dispatch: each score is a short walk over a
-// path's links (well under a microsecond), so the crossover sits far above
-// the testbed's handful of ECMP candidates.
-constexpr std::size_t kParallelRouteThreshold = 64;
-/// Routes per scoring chunk (disjoint slots of the score array; any split is
-/// deterministic because the argmin below is serial and tie-broken by id).
-constexpr std::size_t kRouteGrain = 8;
-
 std::uint32_t best_route(const PendingFlow& f, const net::Routing& routing,
                          const cluster::Cluster& cluster,
                          const std::vector<double>& link_demand,
@@ -90,19 +81,14 @@ std::uint32_t best_route(const PendingFlow& f, const net::Routing& routing,
                          bool restrict_to_unreserved,
                          const net::Network* live,
                          const std::unordered_set<std::uint32_t>& failed,
-                         std::vector<double>& score_scratch,
                          double* score_out) {
-  // Resolved on the calling thread: Routing's path cache fills lazily and is
-  // not written under the pool.
   const auto& paths = routing.paths(f.src, f.dst);
   constexpr double kInadmissible = std::numeric_limits<double>::infinity();
 
-  // Every candidate's fit score depends only on shared read-only state
-  // (demand maps, live link throughput, the reserved/failed sets), so the
-  // candidates score independently into disjoint slots; inadmissible routes
-  // score +inf. First pass avoids confirmed-failed links entirely; if that
-  // leaves no admissible path (e.g. a NIC's only uplink died), the second
-  // pass places the flow anyway so the assignment is always total.
+  // Inadmissible routes score +inf. First pass avoids confirmed-failed links
+  // entirely; if that leaves no admissible path (e.g. a NIC's only uplink
+  // died), the second pass places the flow anyway so the assignment is
+  // always total.
   auto score_route = [&](std::uint32_t r, bool avoid_failed) -> double {
     if (restrict_to_unreserved && reserved.count(r) > 0 &&
         paths.size() > reserved.size()) {
@@ -129,23 +115,13 @@ std::uint32_t best_route(const PendingFlow& f, const net::Routing& routing,
   };
 
   for (const bool avoid_failed : {true, false}) {
-    score_scratch.assign(paths.size(), kInadmissible);
-    par::parallel_for(
-        paths.size(),
-        paths.size() >= kParallelRouteThreshold ? kRouteGrain : paths.size(),
-        [&](std::size_t begin, std::size_t end) {
-          for (std::size_t r = begin; r < end; ++r) {
-            score_scratch[r] =
-                score_route(static_cast<std::uint32_t>(r), avoid_failed);
-          }
-        });
-    // Deterministic argmin, ties broken to the lowest route id — identical
-    // to the sequential first-strictly-smaller scan for any worker split.
+    // Argmin, ties broken to the lowest route id.
     double best_score = kInadmissible;
     std::uint32_t best = 0;
     for (std::uint32_t r = 0; r < paths.size(); ++r) {
-      if (score_scratch[r] < best_score) {
-        best_score = score_scratch[r];
+      const double score = score_route(r, avoid_failed);
+      if (score < best_score) {
+        best_score = score;
         best = r;
       }
     }
@@ -213,29 +189,18 @@ std::unordered_map<std::uint32_t, RouteMap> assign_flows(
     const std::vector<AssignItem>& items, const cluster::Cluster& cluster,
     const net::Routing& routing, const AssignOptions& options) {
   // Per-item flow queues, drained round-robin across items for fairness.
-  // Items enumerate their strategy edges independently (pure reads of the
-  // cluster and strategy, writes only to their own queue), so independent
-  // AssignItems batch across the pool; the drain below stays serial, so the
-  // assignment outcome is identical for any thread count.
   std::vector<std::vector<PendingFlow>> queues(items.size());
   std::vector<std::size_t> heads(items.size(), 0);
-  for (const AssignItem& item : items) {
-    MCCS_EXPECTS(item.gpus_by_rank != nullptr && item.strategy != nullptr);
+  for (std::size_t i = 0; i < items.size(); ++i) {
+    MCCS_EXPECTS(items[i].gpus_by_rank != nullptr &&
+                 items[i].strategy != nullptr);
+    collect_flows(i, items[i], cluster, queues[i]);
   }
-  // One chunk per item only when the batch is wide enough to pay for the
-  // dispatch; a one- or two-communicator assign enumerates inline.
-  par::parallel_for(items.size(), items.size() >= 4 ? 1 : items.size(),
-                    [&](std::size_t begin, std::size_t end) {
-                      for (std::size_t i = begin; i < end; ++i) {
-                        collect_flows(i, items[i], cluster, queues[i]);
-                      }
-                    });
 
   std::vector<double> link_demand(cluster.topology().link_count(), 0.0);
   // Per-item load, for the same-job collision penalty.
   std::vector<std::vector<double>> item_demand(
       items.size(), std::vector<double>(cluster.topology().link_count(), 0.0));
-  std::vector<double> score_scratch;  // candidate scores, reused per flow
   std::unordered_map<std::uint32_t, RouteMap> result;
 
   const bool record =
@@ -258,7 +223,7 @@ std::unordered_map<std::uint32_t, RouteMap> assign_flows(
         const std::uint32_t r = best_route(
             f, routing, cluster, link_demand, item_demand[i],
             options.reserved_routes, /*restrict_to_unreserved=*/!f.high_priority,
-            options.network, options.failed_links, score_scratch, &score);
+            options.network, options.failed_links, &score);
         for (LinkId l : routing.paths(f.src, f.dst)[r]) {
           link_demand[l.get()] += f.demand;
           item_demand[i][l.get()] += f.demand;
@@ -543,7 +508,7 @@ IncrementalSolveStats IncrementalAssigner::solve(Time now) {
         const std::uint32_t r = best_route(
             f, *routing_, *cluster_, link_demand_, own_pool_[i],
             reserved_routes_, /*restrict_to_unreserved=*/!f.high_priority,
-            /*live=*/nullptr, failed_links_, score_scratch_, &score);
+            /*live=*/nullptr, failed_links_, &score);
         for (LinkId l : routing_->paths(f.src, f.dst)[r]) {
           link_demand_[l.get()] += f.demand;
           own_pool_[i][l.get()] += f.demand;

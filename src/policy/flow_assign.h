@@ -315,11 +315,9 @@ class IncrementalAssigner {
   std::uint64_t visit_epoch_ = 0;
 
   // Scratch reused across solves: one dense own-demand vector per solved
-  // item (zeroed lazily through its touched list), candidate score buffer,
-  // and the closure worklist.
+  // item, zeroed lazily through its touched list.
   std::vector<std::vector<double>> own_pool_;
   std::vector<std::vector<std::uint32_t>> own_touched_;
-  std::vector<double> score_scratch_;
 };
 
 }  // namespace mccs::policy

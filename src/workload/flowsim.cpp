@@ -74,6 +74,9 @@ void FlowSimJob::start_iteration() {
         coll::allreduce_edge_volume(n, spec_.model_bytes) / channels;
 
     flows_outstanding_ = 0;
+    // Every ring edge starts at this instant: one coalesced solve for the
+    // whole launch instead of one per edge (DESIGN.md §15).
+    net::Network::SolveBatch batch(*network_);
     for (int c = 0; c < channels; ++c) {
       const coll::RingOrder& order =
           strategy_.channel_orders[static_cast<std::size_t>(c)];

@@ -63,6 +63,10 @@ class FlowSimJob {
 
   [[nodiscard]] const SimJobSpec& spec() const { return spec_; }
   [[nodiscard]] const svc::CommStrategy& strategy() const { return strategy_; }
+  /// AllReduce completion time of each finished iteration, in order.
+  [[nodiscard]] const std::vector<Time>& allreduce_times() const {
+    return allreduce_times_;
+  }
   /// Mean AllReduce completion time across finished iterations.
   [[nodiscard]] Time avg_allreduce_time() const;
   [[nodiscard]] bool finished() const { return done_; }

@@ -17,6 +17,7 @@
 #include <cstring>
 #include <limits>
 #include <map>
+#include <memory>
 #include <optional>
 #include <tuple>
 #include <vector>
@@ -26,8 +27,10 @@
 #include "common/parallel.h"
 #include "common/rng.h"
 #include "netsim/network.h"
+#include "policy/flow_assign.h"
 #include "sim/event_loop.h"
 #include "telemetry/telemetry.h"
+#include "workload/flowsim.h"
 
 namespace mccs::net {
 namespace {
@@ -453,6 +456,96 @@ TEST(NetsimBatch, TelemetryNeitherPerturbsNorDivergesAcrossRuns) {
   EXPECT_EQ(trace_on, trace_on2);          // deterministic counter stream
   EXPECT_EQ(done_on, done_off);            // observation does not perturb
   EXPECT_NE(trace_on, trace_off);          // ...but it did observe something
+}
+
+// --- FlowSimJob ring launches ---------------------------------------------
+
+/// Per-job, per-iteration AllReduce times of a small fig11-shaped stream on
+/// the 768-GPU cluster: overlapping random-GPU-ring jobs on random hosts plus
+/// one locality-ring job with FFA routes installed, every ring launch issued
+/// by FlowSimJob::start_iteration.
+struct RingStream {
+  std::vector<std::vector<Time>> allreduce_times;
+  std::uint64_t solves = 0;
+  /// Solves run by the first ring launch alone (job 0's first iteration,
+  /// probed just after it and long before any of its flows can finish).
+  std::uint64_t first_launch_solves = 0;
+};
+
+RingStream run_ring_stream(bool coalesce) {
+  const cluster::Cluster cl = cluster::make_large_sim_cluster();
+  sim::EventLoop loop;
+  Network net(loop, cl.topology(), Network::Options{.coalesce = coalesce});
+  Routing routing(cl.topology());
+  Rng rng(0xF16011);
+
+  std::vector<std::uint32_t> hosts(cl.host_count());
+  for (std::uint32_t h = 0; h < hosts.size(); ++h) hosts[h] = h;
+  rng.shuffle(hosts);
+  constexpr int kJobs = 5;
+  constexpr int kFfaJob = kJobs - 1;
+  std::vector<std::unique_ptr<workload::FlowSimJob>> jobs;
+  std::size_t next_host = 0;
+  for (int j = 0; j < kJobs; ++j) {
+    workload::SimJobSpec spec;
+    spec.id = JobId{static_cast<std::uint32_t>(j)};
+    spec.iterations = 4;
+    spec.ring = j == kFfaJob ? workload::RingChoice::kOptimal
+                             : workload::RingChoice::kRandomGpuOrder;
+    const int num_hosts = j % 2 == 0 ? 2 : 4;  // 16 or 32 GPUs
+    for (int k = 0; k < num_hosts; ++k) {
+      const auto& gpus = cl.host(HostId{hosts[next_host++]}).gpus;
+      spec.gpus.insert(spec.gpus.end(), gpus.begin(), gpus.end());
+    }
+    jobs.push_back(std::make_unique<workload::FlowSimJob>(loop, net, cl,
+                                                          std::move(spec), rng));
+  }
+  policy::AssignItem item;
+  item.comm = CommId{kFfaJob};
+  item.app = AppId{kFfaJob};
+  item.gpus_by_rank = &jobs[kFfaJob]->spec().gpus;
+  item.strategy = &jobs[kFfaJob]->strategy();
+  auto routes = policy::assign_flows({item}, cl, routing);
+  EXPECT_FALSE(routes[kFfaJob].empty());
+  jobs[kFfaJob]->set_routes(routes[kFfaJob]);
+
+  // Staggered starts well inside one iteration, so launches land while
+  // other jobs' flows are in flight.
+  for (int j = 0; j < kJobs; ++j) {
+    loop.schedule_at(j * millis(25), [&jobs, j] { jobs[j]->start({}); });
+  }
+  RingStream out;
+  const Time first_launch = jobs[0]->spec().compute_gap;
+  loop.schedule_at(first_launch + millis(0.001),
+                   [&] { out.first_launch_solves = net.solves_total(); });
+  loop.run();
+
+  for (const auto& job : jobs) {
+    EXPECT_TRUE(job->finished());
+    out.allreduce_times.push_back(job->allreduce_times());
+  }
+  out.solves = net.solves_total();
+  return out;
+}
+
+TEST(NetsimBatch, FlowSimRingLaunchesMatchUnbatchedWithFewerSolves) {
+  const RingStream batched = run_ring_stream(/*coalesce=*/true);
+  const RingStream unbatched = run_ring_stream(/*coalesce=*/false);
+  ASSERT_EQ(batched.allreduce_times.size(), unbatched.allreduce_times.size());
+  for (std::size_t j = 0; j < batched.allreduce_times.size(); ++j) {
+    const auto& b = batched.allreduce_times[j];
+    const auto& u = unbatched.allreduce_times[j];
+    ASSERT_EQ(b.size(), 4u) << "job " << j;
+    ASSERT_EQ(b.size(), u.size()) << "job " << j;
+    for (std::size_t i = 0; i < b.size(); ++i) {
+      EXPECT_EQ(time_bits(b[i]), time_bits(u[i]))
+          << "job " << j << " iteration " << i << ": " << b[i] << " vs " << u[i];
+    }
+  }
+  EXPECT_LT(batched.solves, unbatched.solves);
+  // One solve per ring launch, against one per inter-host ring edge.
+  EXPECT_EQ(batched.first_launch_solves, 1u);
+  EXPECT_GT(unbatched.first_launch_solves, 1u);
 }
 
 }  // namespace

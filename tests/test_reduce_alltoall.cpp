@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <type_traits>
 #include <vector>
 
 #include "cluster/cluster.h"
@@ -61,11 +62,15 @@ void run_reduce_and_check(Fabric& fabric, AppId app,
   }
 }
 
+// gtest names each case by the raw bytes of its parameter, so the struct
+// must have no padding: uninitialised padding would rename the cases on
+// every run. `tree` is therefore an int (0 = ring, 1 = tree), not a bool.
 struct ReduceCase {
   int nranks;
   int root;
-  bool tree;
+  int tree;
 };
+static_assert(std::has_unique_object_representations_v<ReduceCase>);
 
 class ReduceP : public ::testing::TestWithParam<ReduceCase> {};
 
@@ -87,11 +92,11 @@ TEST_P(ReduceP, ReduceToRootIsExact) {
 
 INSTANTIATE_TEST_SUITE_P(
     Cases, ReduceP,
-    ::testing::Values(ReduceCase{2, 0, false}, ReduceCase{2, 1, false},
-                      ReduceCase{4, 0, false}, ReduceCase{4, 2, false},
-                      ReduceCase{8, 5, false}, ReduceCase{2, 1, true},
-                      ReduceCase{4, 3, true}, ReduceCase{8, 0, true},
-                      ReduceCase{7, 4, true}));
+    ::testing::Values(ReduceCase{2, 0, 0}, ReduceCase{2, 1, 0},
+                      ReduceCase{4, 0, 0}, ReduceCase{4, 2, 0},
+                      ReduceCase{8, 5, 0}, ReduceCase{2, 1, 1},
+                      ReduceCase{4, 3, 1}, ReduceCase{8, 0, 1},
+                      ReduceCase{7, 4, 1}));
 
 TEST(ReduceCollective, MaxOperatorAtRoot) {
   Fabric fabric{cluster::make_testbed()};

@@ -4,8 +4,10 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdint>
 #include <map>
 #include <set>
+#include <type_traits>
 
 #include "cluster/cluster.h"
 #include "collectives/schedule.h"
@@ -106,15 +108,20 @@ std::vector<Ledger> run_tree(int n, CollectiveKind kind, int root,
   return state;
 }
 
+// gtest names each case by the raw bytes of its parameter, so the struct
+// must have no padding: uninitialised padding would rename the cases on
+// every run. `n` is therefore as wide as `chunks`.
 struct TreeCase {
-  int n;
+  std::int64_t n;
   std::size_t chunks;
 };
+static_assert(std::has_unique_object_representations_v<TreeCase>);
 
 class TreeScheduleP : public ::testing::TestWithParam<TreeCase> {};
 
 TEST_P(TreeScheduleP, AllReduceSumsEveryContributionExactlyOnce) {
-  const auto [n, chunks] = GetParam();
+  const int n = static_cast<int>(GetParam().n);
+  const std::size_t chunks = GetParam().chunks;
   auto state = run_tree(n, CollectiveKind::kAllReduce, 0, chunks);
   for (int r = 0; r < n; ++r) {
     for (std::size_t c = 0; c < chunks; ++c) {
@@ -127,7 +134,8 @@ TEST_P(TreeScheduleP, AllReduceSumsEveryContributionExactlyOnce) {
 }
 
 TEST_P(TreeScheduleP, BroadcastDeliversRootEverywhere) {
-  const auto [n, chunks] = GetParam();
+  const int n = static_cast<int>(GetParam().n);
+  const std::size_t chunks = GetParam().chunks;
   const int root = n / 3;
   auto state = run_tree(n, CollectiveKind::kBroadcast, root, chunks);
   for (int r = 0; r < n; ++r) {
