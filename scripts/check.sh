@@ -27,6 +27,10 @@
 # independent.
 set -euo pipefail
 
+# The JSON gates below are python3 programs; without python3 they cannot run,
+# and a gate that cannot run must fail the check, not pass it.
+command -v python3 >/dev/null 2>&1 || { echo "FAIL: python3 required" >&2; exit 1; }
+
 cd "$(dirname "$0")/.."
 
 chaos_sweep() {
@@ -115,8 +119,7 @@ json=build/bench/BENCH_flowsim.json
 
 # Every line must be a JSON object with exactly the expected keys; fail on
 # drift so the bench's consumers (EXPERIMENTS.md, trend dashboards) notice.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$json" <<'EOF'
+python3 - "$json" <<'EOF'
 import json, sys
 
 expected = {"bench", "gpus", "mode", "events", "sim_s", "wall_s",
@@ -132,27 +135,13 @@ for i, line in enumerate(lines, 1):
         sys.exit(f"FAIL: line {i} unknown mode {rec['mode']!r}")
 print(f"BENCH_flowsim.json schema OK ({len(lines)} records)")
 EOF
-else
-  # Fallback without python3: check the key skeleton textually.
-  while IFS= read -r line; do
-    [[ -z "$line" ]] && continue
-    for key in bench gpus mode events sim_s wall_s events_per_sec \
-               speedup_vs_reference; do
-      grep -q "\"$key\":" <<<"$line" || {
-        echo "FAIL: missing key '$key' in: $line" >&2; exit 1;
-      }
-    done
-  done < "$json"
-  echo "BENCH_flowsim.json schema OK (grep fallback)"
-fi
 
 # Scale points (arena-backed slab at 768/8k/32k endpoints): schema, the
 # bit-reproducibility flags, an events/s floor at 8k, and 768-GPU
 # non-regression against the BENCH_flowsim incremental row from the same run.
 sjson=build/bench/BENCH_scale.json
 [[ -s "$sjson" ]] || { echo "FAIL: $sjson missing or empty" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$sjson" "$json" <<'EOF'
+python3 - "$sjson" "$json" <<'EOF'
 import json, sys
 
 perf_keys = {"bench", "kind", "gpus", "threads", "events", "sim_s", "wall_s",
@@ -232,17 +221,6 @@ if flow768 and perf[(768, 1)]["events_per_sec"] < 0.5 * flow768[0]["events_per_s
 print(f"BENCH_scale.json OK ({len(perf)} perf + {len(ident)} identity + "
       f"{len(coal)} coalesce rows)")
 EOF
-else
-  # Fallback without python3: the reproducibility flags must read true.
-  for gpus in 768 8192 32768; do
-    grep -q "\"kind\":\"identity\",\"gpus\":${gpus},\"threads_identical\":true,\"identical_to_reference\":true" \
-      "$sjson" || { echo "FAIL: identity flags not true at ${gpus} GPUs" >&2; exit 1; }
-    grep "\"kind\":\"coalesce\",\"gpus\":${gpus}," "$sjson" \
-      | grep -q "\"digest_identical\":true" \
-      || { echo "FAIL: coalesce digest not identical at ${gpus} GPUs" >&2; exit 1; }
-  done
-  echo "BENCH_scale.json OK (grep fallback)"
-fi
 
 echo "== micro_datapath =="
 (cd build/bench && ./micro_datapath)
@@ -253,8 +231,7 @@ dpjson=build/bench/BENCH_datapath.json
 # Schema per section plus the PR's perf gates: a cache hit must be >= 3x
 # cheaper than building the plan, and the vectorized float32-sum reduce must
 # be >= 2x the scalar reference.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$dpjson" <<'EOF'
+python3 - "$dpjson" <<'EOF'
 import json, sys
 
 expected = {
@@ -288,17 +265,6 @@ if seen != set(expected):
     sys.exit(f"FAIL: sections {sorted(seen)} != {sorted(expected)}")
 print(f"BENCH_datapath.json schema + gates OK ({len(lines)} records)")
 EOF
-else
-  while IFS= read -r line; do
-    [[ -z "$line" ]] && continue
-    for key in bench section; do
-      grep -q "\"$key\":" <<<"$line" || {
-        echo "FAIL: missing key '$key' in: $line" >&2; exit 1;
-      }
-    done
-  done < "$dpjson"
-  echo "BENCH_datapath.json schema OK (grep fallback; gates skipped)"
-fi
 
 chaos_sweep build/tests/mccs_tests
 chaos_churn_sweep build/tests/mccs_tests
@@ -313,8 +279,7 @@ rcjson=build/bench/BENCH_recovery.json
 # with a finite detection + recovery time, and the full pipeline (transport
 # escalation -> controller reconfiguration) must retain >= 50% goodput on the
 # degraded topology.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$rcjson" <<'EOF'
+python3 - "$rcjson" <<'EOF'
 import json, math, sys
 
 expected = {"bench", "mode", "gpus", "bytes", "healthy_iter_s",
@@ -348,20 +313,6 @@ if modes != {"rehash", "reconfig"}:
     sys.exit(f"FAIL: modes {sorted(modes)} != ['reconfig', 'rehash']")
 print(f"BENCH_recovery.json schema + gates OK ({len(lines)} records)")
 EOF
-else
-  while IFS= read -r line; do
-    [[ -z "$line" ]] && continue
-    for key in bench mode goodput_retained time_to_recover_s bit_correct; do
-      grep -q "\"$key\":" <<<"$line" || {
-        echo "FAIL: missing key '$key' in: $line" >&2; exit 1;
-      }
-    done
-    grep -q '"bit_correct":true' <<<"$line" || {
-      echo "FAIL: not bit-correct: $line" >&2; exit 1;
-    }
-  done < "$rcjson"
-  echo "BENCH_recovery.json schema OK (grep fallback; gates skipped)"
-fi
 
 # With telemetry disabled (the default), every simulated result must stay
 # byte-identical to the checked-in goldens: the telemetry subsystem observes
@@ -406,8 +357,7 @@ tljson=build/bench/BENCH_telemetry.json
 
 # Schema plus the PR's gates: enabled-mode telemetry must not perturb the
 # simulation (virtual_identical) and must cost <= 10% host wall overhead.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$tljson" <<'EOF'
+python3 - "$tljson" <<'EOF'
 import json, sys
 
 expected = {
@@ -448,20 +398,6 @@ if seen != {"off", "on", "summary"}:
     sys.exit(f"FAIL: modes {sorted(seen)} != ['off', 'on', 'summary']")
 print(f"BENCH_telemetry.json schema + gates OK ({len(lines)} records)")
 EOF
-else
-  while IFS= read -r line; do
-    [[ -z "$line" ]] && continue
-    for key in bench mode; do
-      grep -q "\"$key\":" <<<"$line" || {
-        echo "FAIL: missing key '$key' in: $line" >&2; exit 1;
-      }
-    done
-  done < "$tljson"
-  grep -q '"virtual_identical":true' "$tljson" || {
-    echo "FAIL: telemetry perturbed the simulated latencies" >&2; exit 1;
-  }
-  echo "BENCH_telemetry.json schema OK (grep fallback; overhead gate skipped)"
-fi
 
 echo "== micro_parallel =="
 (cd build/bench && ./micro_parallel)
@@ -476,8 +412,7 @@ pljson=build/bench/BENCH_parallel.json
 # cannot speed anything up. Every record also carries effective_cores (a
 # fixed spin timed on N threads), which shows when `cores` overstates the
 # parallelism the host actually delivers.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$pljson" <<'EOF'
+python3 - "$pljson" <<'EOF'
 import json, sys
 
 expected = {
@@ -522,17 +457,6 @@ else:
     print(f"BENCH_parallel.json schema OK ({len(lines)} records; "
           f"speedup gate skipped on {cores} core(s))")
 EOF
-else
-  while IFS= read -r line; do
-    [[ -z "$line" ]] && continue
-    for key in bench section threads cores effective_cores; do
-      grep -q "\"$key\":" <<<"$line" || {
-        echo "FAIL: missing key '$key' in: $line" >&2; exit 1;
-      }
-    done
-  done < "$pljson"
-  echo "BENCH_parallel.json schema OK (grep fallback; gates skipped)"
-fi
 
 echo "== cluster_day =="
 (cd build/bench && ./cluster_day)
@@ -543,8 +467,7 @@ cljson=build/bench/BENCH_cluster.json
 # Schema plus the PR's perf gates: at every scale the incremental control
 # plane must produce assignments bitwise identical to the full re-solve, and
 # at >= 1024 GPUs its p99 decision latency must be >= 3x better.
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$cljson" <<'EOF'
+python3 - "$cljson" <<'EOF'
 import json, sys
 
 expected = {"bench", "scale", "gpus", "mode", "seed", "events", "jobs",
@@ -579,23 +502,6 @@ if modes != {"full", "incremental"}:
     sys.exit(f"FAIL: modes {sorted(modes)} != ['full', 'incremental']")
 print(f"BENCH_cluster.json schema + gates OK ({len(lines)} records)")
 EOF
-else
-  while IFS= read -r line; do
-    [[ -z "$line" ]] && continue
-    for key in bench scale gpus mode p99_us speedup_p99_vs_full \
-               solves_per_event mean_batch_width assignments_identical; do
-      grep -q "\"$key\":" <<<"$line" || {
-        echo "FAIL: missing key '$key' in: $line" >&2; exit 1;
-      }
-    done
-    if grep -q '"mode":"incremental"' <<<"$line"; then
-      grep -q '"assignments_identical":true' <<<"$line" || {
-        echo "FAIL: incremental assignment diverged: $line" >&2; exit 1;
-      }
-    fi
-  done < "$cljson"
-  echo "BENCH_cluster.json schema OK (grep fallback; speedup gate skipped)"
-fi
 
 # Chaos-under-churn robustness gates (cluster_day writes BENCH_chaos.json in
 # the same run): the fault-steering control plane must retain goodput — the
@@ -605,8 +511,7 @@ fi
 # warm-state poison heals.
 chjson=build/bench/BENCH_chaos.json
 [[ -s "$chjson" ]] || { echo "FAIL: $chjson missing or empty" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$chjson" <<'EOF'
+python3 - "$chjson" <<'EOF'
 import json, sys
 
 expected = {
@@ -672,18 +577,6 @@ print(f"BENCH_chaos.json schema + gates OK "
       f"soak rss {soak['rss_growth_frac']:+.1%}, "
       f"{soak['poisons_engaged']} poisons healed)")
 EOF
-else
-  grep -q '"bench":"chaos_summary"' "$chjson" || {
-    echo "FAIL: chaos_summary record missing" >&2; exit 1;
-  }
-  grep -q '"violations":0' "$chjson" || {
-    echo "FAIL: chaos invariant violations" >&2; exit 1;
-  }
-  grep -q '"poisons_healed":true' "$chjson" || {
-    echo "FAIL: soak poison never healed" >&2; exit 1;
-  }
-  echo "BENCH_chaos.json schema OK (grep fallback; ratio/growth gates skipped)"
-fi
 
 echo "== ext_collectives (plan compiler) =="
 (cd build/bench && ./ext_collectives)
@@ -694,8 +587,7 @@ echo "== ext_collectives (plan compiler) =="
 # simulation — the selection pass is vacuous otherwise.
 cpjson=build/bench/BENCH_compiler.json
 [[ -s "$cpjson" ]] || { echo "FAIL: $cpjson missing or empty" >&2; exit 1; }
-if command -v python3 >/dev/null 2>&1; then
-  python3 - "$cpjson" <<'EOF'
+python3 - "$cpjson" <<'EOF'
 import json, sys
 
 expected = {
@@ -741,21 +633,6 @@ print(f"BENCH_compiler.json schema + gates OK ({len(algo_rows)} algo + "
       f"{len(sel_rows)} selection rows; non-ring wins at "
       f"{sorted(r['bytes'] for r in wins)})")
 EOF
-else
-  while IFS= read -r line; do
-    [[ -z "$line" ]] && continue
-    for key in bench section kind bytes; do
-      grep -q "\"$key\":" <<<"$line" || {
-        echo "FAIL: missing key '$key' in: $line" >&2; exit 1;
-      }
-    done
-  done < "$cpjson"
-  grep -q '"selected":"ring"' "$cpjson" && grep -qv '"selected":"ring"' \
-    <<<"$(grep '"section":"selection"' "$cpjson")" || {
-    echo "FAIL: no non-ring selection row" >&2; exit 1;
-  }
-  echo "BENCH_compiler.json schema OK (grep fallback; win gate skipped)"
-fi
 
 # Fail loudly if any BENCH_*.json this script gates went missing: a bench
 # that silently stopped writing its file must fail the run, not skip its

@@ -12,11 +12,11 @@ namespace {
 int mod(int x, int n) { return ((x % n) + n) % n; }
 
 // --- tree scaffolding --------------------------------------------------------
-// Same rotated complete binary tree as schedule.cpp, generalized with a
-// `mirror` flag: the normal mapping is tid = (rank - root) mod n, the mirrored
-// one tid = (root - rank) mod n. A double binary tree pairs a normal and a
-// mirrored tree (or two normal trees with different roots) so interior nodes
-// of one are leaves of the other.
+// A complete binary tree over ranks rotated so `root` is tree id 0 (node i's
+// parent is (i-1)/2), with a `mirror` flag: the normal mapping is
+// tid = (rank - root) mod n, the mirrored one tid = (root - rank) mod n. A
+// double binary tree pairs a normal and a mirrored tree (or two normal trees
+// with different roots) so interior nodes of one are leaves of the other.
 
 struct TreeShape {
   int parent = -1;      ///< tid of parent (-1 at root)
@@ -46,7 +46,9 @@ int tid_of_rank(int rank, int root, int n, bool mirror) {
 
 // --- phase emitters ----------------------------------------------------------
 // Each appends one decomposed phase's CommSteps, numbering from `index` and
-// tagging from `tag_base` so phases stay disjoint in tag space.
+// tagging from `tag_base` so phases stay disjoint in tag space (the
+// fixed-shape emitters only ever run as a collective's sole phase, so they
+// tag from 0).
 
 /// Ring phase from precomputed RingSteps. `buffer_kind` selects the
 /// positional-chunk -> buffer-chunk mapping of the PARENT collective (an
@@ -239,6 +241,106 @@ void append_star_reduce(ChannelSchedule& sched, int& index, int nranks,
   }
 }
 
+/// Chain (pipelined ring-order) reduce phase over n chunks: data flows along
+/// ring-successor edges towards `root`, each hop reducing; only the root
+/// holds the result.
+void append_chain_reduce(ChannelSchedule& sched, int& index,
+                         const RingOrder& order, int rank, int root) {
+  const int n = static_cast<int>(order.size());
+  const int pos = order.position_of(rank);
+  // Chain index: 0 at the position right after the root, n-1 at the root, so
+  // data flows along ring-successor edges and terminates at the root.
+  const int ci = mod(pos - order.position_of(root) - 1, n);
+  for (int k = 0; k < n; ++k) {
+    if (ci > 0) {
+      CommStep st;
+      st.index = index++;
+      st.recv_from = order.rank_at(pos - 1);
+      st.recv_chunk = static_cast<std::size_t>(k);
+      st.recv_tag = k;
+      st.reduce = true;
+      sched.steps.push_back(st);
+    }
+    if (ci < n - 1) {
+      CommStep st;
+      st.index = index++;
+      st.send_to = order.rank_at(pos + 1);
+      st.send_chunk = static_cast<std::size_t>(k);
+      st.send_tag = k;
+      sched.steps.push_back(st);
+    }
+  }
+}
+
+/// Pairwise AllToAll: at exchange step s, rank r sends its send-buffer block
+/// (r + s) mod n to that rank and receives block r of rank (r - s) mod n.
+/// Source and destination blocks differ — the executor reads the sender's
+/// block `send_chunk` and writes the receiver's block `recv_chunk`.
+void append_mesh_alltoall(ChannelSchedule& sched, int& index, int nranks,
+                          int rank) {
+  for (int s = 1; s < nranks; ++s) {
+    const int to = (rank + s) % nranks;
+    const int from = (rank - s + nranks) % nranks;
+    CommStep st;
+    st.index = index++;
+    st.send_to = to;
+    st.send_chunk = static_cast<std::size_t>(to);  // my block destined for `to`
+    st.send_tag = rank;                            // inbound tag = sender rank
+    st.recv_from = from;
+    st.recv_chunk = static_cast<std::size_t>(from);  // lands in block `from`
+    st.recv_tag = from;
+    st.reduce = false;
+    sched.steps.push_back(st);
+  }
+}
+
+/// Star gather: every non-root sends its (single-block) buffer straight to
+/// the root, which stores it at the sender's block index.
+void append_star_gather(ChannelSchedule& sched, int& index, int nranks,
+                        int rank, int root) {
+  if (rank == root) {
+    for (int q = 0; q < nranks; ++q) {
+      if (q == root) continue;
+      CommStep st;
+      st.index = index++;
+      st.recv_from = q;
+      st.recv_chunk = static_cast<std::size_t>(q);  // block q of root's recv
+      st.recv_tag = q;
+      sched.steps.push_back(st);
+    }
+  } else {
+    CommStep st;
+    st.index = index++;
+    st.send_to = root;
+    st.send_chunk = 0;  // the sender's buffer is a single block
+    st.send_tag = rank;
+    sched.steps.push_back(st);
+  }
+}
+
+/// Star scatter: the root sends block j of its buffer to rank j.
+void append_star_scatter(ChannelSchedule& sched, int& index, int nranks,
+                         int rank, int root) {
+  if (rank == root) {
+    for (int q = 0; q < nranks; ++q) {
+      if (q == root) continue;
+      CommStep st;
+      st.index = index++;
+      st.send_to = q;
+      st.send_chunk = static_cast<std::size_t>(q);  // block q of root's send
+      st.send_tag = q;
+      sched.steps.push_back(st);
+    }
+  } else {
+    CommStep st;
+    st.index = index++;
+    st.recv_from = root;
+    st.recv_chunk = 0;  // the receiver's buffer is a single block
+    st.recv_tag = rank;
+    sched.steps.push_back(st);
+  }
+}
+
 // --- hierarchy pass ----------------------------------------------------------
 
 HierarchySummary summarize_hierarchy(const CompileInput& in) {
@@ -304,18 +406,23 @@ CompiledSchedule compile_collective(const CompileInput& in) {
   CompiledSchedule out;
   out.hierarchy = summarize_hierarchy(in);
 
-  // Fixed-shape kinds first: no algorithm choice, dedicated builders.
+  // One buffer chunk per rank, except where a tree picks its own pipeline
+  // granularity below.
+  out.schedule.num_chunks = nsz;
+  int index = 0;
+
+  // Fixed-shape kinds first: no algorithm choice, one emitter each.
   switch (in.kind) {
     case CollectiveKind::kAllToAll:
-      out.schedule = build_alltoall_schedule(n, in.rank);
+      append_mesh_alltoall(out.schedule, index, n, in.rank);
       out.phases = {{PhaseOp::kAllToAll, PhaseShape::kMesh, 0, 0, 0, nsz}};
       return out;
     case CollectiveKind::kGather:
-      out.schedule = build_gather_schedule(n, in.rank, in.root);
+      append_star_gather(out.schedule, index, n, in.rank, in.root);
       out.phases = {{PhaseOp::kGather, PhaseShape::kStar, in.root, 0, 0, nsz}};
       return out;
     case CollectiveKind::kScatter:
-      out.schedule = build_scatter_schedule(n, in.rank, in.root);
+      append_star_scatter(out.schedule, index, n, in.rank, in.root);
       out.phases = {{PhaseOp::kScatter, PhaseShape::kStar, in.root, 0, 0, nsz}};
       return out;
     default:
@@ -329,15 +436,12 @@ CompiledSchedule compile_collective(const CompileInput& in) {
     out.is_ring = true;
     out.my_position = pos;
     switch (in.kind) {
-      case CollectiveKind::kAllReduce: {
+      case CollectiveKind::kAllReduce:
         // Decomposition: reduce-scatter then all-gather over the same ring.
         // The all-gather enters at position + 1 (where the reduce-scatter
         // leaves each position's finished chunk) with tags rebased past the
-        // reduce-scatter's n-1; the concatenation reproduces
-        // ring_allreduce_steps step for step, so plans compiled here are
-        // bit-identical to the historical fused builder.
-        out.schedule.num_chunks = nsz;
-        int index = 0;
+        // reduce-scatter's n-1, so the two phases form one 2(n-1)-step ring
+        // whose tags equal its step indices.
         append_ring_phase(out.schedule, index, in.kind, *in.order, in.rank,
                           ring_reducescatter_steps(n, pos), 0);
         append_ring_phase(out.schedule, index, in.kind, *in.order, in.rank,
@@ -345,22 +449,27 @@ CompiledSchedule compile_collective(const CompileInput& in) {
         out.phases = {{PhaseOp::kReduceScatter, PhaseShape::kRing, 0, 0, 0, nsz},
                       {PhaseOp::kAllGather, PhaseShape::kRing, 0, n - 1, 0, nsz}};
         return out;
-      }
       case CollectiveKind::kReduce:
-        out.schedule = build_chain_reduce_schedule(*in.order, in.rank, in.root);
+        append_chain_reduce(out.schedule, index, *in.order, in.rank, in.root);
         out.phases = {{PhaseOp::kReduce, PhaseShape::kChain, in.root, 0, 0, nsz}};
         return out;
       case CollectiveKind::kAllGather:
-        out.schedule = build_ring_schedule(in.kind, *in.order, in.rank, in.root);
+        append_ring_phase(out.schedule, index, in.kind, *in.order, in.rank,
+                          ring_allgather_steps(n, pos), 0);
         out.phases = {{PhaseOp::kAllGather, PhaseShape::kRing, 0, 0, 0, nsz}};
         return out;
       case CollectiveKind::kReduceScatter:
-        out.schedule = build_ring_schedule(in.kind, *in.order, in.rank, in.root);
+        append_ring_phase(out.schedule, index, in.kind, *in.order, in.rank,
+                          ring_reducescatter_steps(n, pos), 0);
         out.phases = {
             {PhaseOp::kReduceScatter, PhaseShape::kRing, 0, 0, 0, nsz}};
         return out;
       case CollectiveKind::kBroadcast:
-        out.schedule = build_ring_schedule(in.kind, *in.order, in.rank, in.root);
+        // The pipelined chain runs in root-relative ring positions.
+        append_ring_phase(
+            out.schedule, index, in.kind, *in.order, in.rank,
+            ring_broadcast_steps(n, mod(pos - in.order->position_of(in.root), n)),
+            0);
         out.phases = {
             {PhaseOp::kBroadcast, PhaseShape::kRing, in.root, 0, 0, nsz}};
         return out;
@@ -372,11 +481,10 @@ CompiledSchedule compile_collective(const CompileInput& in) {
   if (algo == Algorithm::kTree) {
     const std::size_t kk = std::max<std::size_t>(1, in.tree_chunks);
     out.schedule.num_chunks = kk;
-    int index = 0;
     switch (in.kind) {
       case CollectiveKind::kAllReduce:
         // Decomposition: Reduce to rank 0, then Broadcast back down the same
-        // tree. Identical emission to build_tree_allreduce_schedule.
+        // tree, with the broadcast's tags based past the reduce's 2*kk.
         append_tree_reduce(out.schedule, index, n, in.rank, 0, false, 0, kk, 0);
         append_tree_broadcast(out.schedule, index, n, in.rank, 0, false, 0, kk,
                               2 * static_cast<int>(kk));
@@ -404,7 +512,6 @@ CompiledSchedule compile_collective(const CompileInput& in) {
     const std::size_t kk = dbt_chunks(in.tree_chunks);
     const std::size_t half = kk / 2;
     out.schedule.num_chunks = kk;
-    int index = 0;
     if (in.kind == CollectiveKind::kAllReduce) {
       // Two trees with different roots split the chunk range: tree A (root 0)
       // owns [0, half), tree B (root n/2) owns [half, kk), so no single rank
@@ -445,8 +552,6 @@ CompiledSchedule compile_collective(const CompileInput& in) {
   }
 
   MCCS_CHECK(algo == Algorithm::kPairwise, "unknown algorithm");
-  out.schedule.num_chunks = nsz;
-  int index = 0;
   switch (in.kind) {
     case CollectiveKind::kAllReduce:
       // Decomposition: mesh reduce-scatter then mesh all-gather, one direct
@@ -496,6 +601,27 @@ std::vector<Algorithm> selectable_algorithms(CollectiveKind kind) {
       return {Algorithm::kRing};  // fixed shape; algorithm is a no-op
   }
   return {Algorithm::kRing};
+}
+
+std::vector<std::pair<int, int>> tree_edges(int nranks, int root,
+                                            CollectiveKind kind) {
+  MCCS_EXPECTS(nranks >= 2);
+  std::vector<std::pair<int, int>> edges;
+  for (int tid = 1; tid < nranks; ++tid) {
+    const int up = rank_of_tid(tid, root, nranks, false);
+    const int down =
+        rank_of_tid(tree_shape(nranks, tid).parent, root, nranks, false);
+    // Broadcast flows down the tree, Reduce flows up (child -> parent), and
+    // AllReduce uses both directions. Advertising the parent->child edge for
+    // kReduce would be a phantom edge the schedule never sends on: a flow
+    // assigner consuming the per-kind edge set would place capacity on dead
+    // links and starve the live ones.
+    if (kind != CollectiveKind::kReduce) edges.emplace_back(down, up);
+    if (kind == CollectiveKind::kAllReduce || kind == CollectiveKind::kReduce) {
+      edges.emplace_back(up, down);
+    }
+  }
+  return edges;
 }
 
 std::vector<std::pair<int, int>> algorithm_edges(Algorithm algorithm,

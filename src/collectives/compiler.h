@@ -22,14 +22,15 @@
 //     The pass also summarises the topology (host count, cross-host edge
 //     count) for the cost model and the benches.
 //
-//  3. LOWERING / ALGORITHM BINDING — emit CommSteps per phase. Under kRing
-//     the emission is bit-identical to the hand-written builders in
-//     schedule.cpp (build_ring_schedule / build_chain_reduce_schedule /
-//     star / mesh builders) — the paper-figure goldens depend on that, and
-//     test_compiler.cpp checks it step for step. kTree reuses the rotated
-//     complete-binary-tree builders; kDoubleBinaryTree splits the chunk
-//     range across two differently-rooted trees; kPairwise exchanges
-//     directly over the mesh.
+//  3. LOWERING / ALGORITHM BINDING — emit CommSteps per phase, one
+//     emitter per phase shape: ring phases from the positional RingSteps of
+//     ring.h, the pipelined chain, rotated complete binary trees, the
+//     pairwise mesh and the root star. kRing runs rings (and the chain for
+//     Reduce); kTree the rotated binary tree; kDoubleBinaryTree splits the
+//     chunk range across two differently-rooted trees; kPairwise exchanges
+//     directly over the mesh. This is the only producer of ChannelSchedule.
+//     Its emission is pinned by the emission digest in test_compiler.cpp
+//     and by the paper-figure goldens (bench/goldens/).
 //
 // Algorithm choice itself (choose_algorithm) is a separate selection pass
 // over the analytic alpha-beta cost model: the controller runs it per
@@ -132,6 +133,12 @@ CompiledSchedule compile_collective(const CompileInput& in);
 /// Algorithms that produce a distinct schedule for `kind` (the compiler's
 /// search space; the correctness sweep enumerates exactly this).
 std::vector<Algorithm> selectable_algorithms(CollectiveKind kind);
+
+/// Edges (src rank -> dst rank) a kTree schedule of `kind` rooted at `root`
+/// sends on: parent->child for Broadcast, child->parent for Reduce, both for
+/// AllReduce. test_compiler.cpp audits it against compiled schedules.
+std::vector<std::pair<int, int>> tree_edges(int nranks, int root,
+                                            CollectiveKind kind);
 
 /// The (src rank, dst rank) superset a compiled schedule of `algorithm` can
 /// send on over `order`, across all kinds — the edge list flow assignment

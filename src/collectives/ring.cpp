@@ -5,36 +5,6 @@ namespace {
 int mod(int x, int n) { return ((x % n) + n) % n; }
 }  // namespace
 
-std::vector<RingStep> ring_allreduce_steps(int n, int position) {
-  MCCS_EXPECTS(n >= 2);
-  MCCS_EXPECTS(position >= 0 && position < n);
-  std::vector<RingStep> steps;
-  steps.reserve(static_cast<std::size_t>(2 * (n - 1)));
-  // Reduce-scatter pass: at step s, position p sends chunk (p - s) and
-  // reduces the received chunk (p - s - 1) into its buffer. After n-1 steps
-  // position p holds the fully-reduced chunk (p + 1) mod n.
-  for (int s = 0; s < n - 1; ++s) {
-    RingStep st;
-    st.index = s;
-    st.send_chunk = static_cast<std::size_t>(mod(position - s, n));
-    st.recv_chunk = static_cast<std::size_t>(mod(position - s - 1, n));
-    st.reduce = true;
-    st.send_tag = st.recv_tag = st.index;
-    steps.push_back(st);
-  }
-  // All-gather pass: circulate the fully-reduced chunks.
-  for (int s = 0; s < n - 1; ++s) {
-    RingStep st;
-    st.index = (n - 1) + s;
-    st.send_chunk = static_cast<std::size_t>(mod(position + 1 - s, n));
-    st.recv_chunk = static_cast<std::size_t>(mod(position - s, n));
-    st.reduce = false;
-    st.send_tag = st.recv_tag = st.index;
-    steps.push_back(st);
-  }
-  return steps;
-}
-
 std::vector<RingStep> ring_allgather_steps(int n, int position) {
   MCCS_EXPECTS(n >= 2);
   MCCS_EXPECTS(position >= 0 && position < n);

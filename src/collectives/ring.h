@@ -119,26 +119,24 @@ inline ChunkRange chunk_range(std::size_t total_elems, std::size_t n_chunks,
 // --- per-position step schedules -------------------------------------------
 // All schedules below operate on a logical buffer of n chunks.
 
-/// Ring AllReduce: 2(n-1) steps — a reduce-scatter pass followed by an
-/// all-gather pass. Works in-place on a buffer holding all n chunks.
-std::vector<RingStep> ring_allreduce_steps(int n, int position);
-
 /// Ring AllGather: n-1 steps over the output buffer of n chunks, where chunk
 /// r initially holds rank r's contribution only at position_of(r).
 std::vector<RingStep> ring_allgather_steps(int n, int position);
 
-/// Ring ReduceScatter: the first n-1 steps of ring AllReduce; afterwards the
-/// chunk at index `position + 1 (mod n)`... (see .cpp) holds the full
-/// reduction for that position's output.
+/// Ring ReduceScatter: n-1 reducing steps (the first phase of the compiler's
+/// ring AllReduce); afterwards the chunk at index `position + 1 (mod n)`
+/// (reducescatter_owned_chunk) holds the full reduction for that position's
+/// output.
 std::vector<RingStep> ring_reducescatter_steps(int n, int position);
 
 /// Chunk index that holds this position's fully-reduced output after the
 /// reduce-scatter pass.
 std::size_t reducescatter_owned_chunk(int n, int position);
 
-/// Ring (pipelined chain) Broadcast with the root at ring position 0 and n
-/// chunks: the root streams chunks down the chain; interior positions
-/// receive chunk k while forwarding chunk k-1; the tail only receives.
+/// Ring (pipelined chain) Broadcast over n chunks. `position` is relative to
+/// the root's ring position (the root is 0): the root streams chunks down the
+/// chain; interior positions receive chunk k while forwarding chunk k-1; the
+/// tail only receives.
 std::vector<RingStep> ring_broadcast_steps(int n, int position);
 
 /// Map a positional chunk index to the index of the chunk in the user's

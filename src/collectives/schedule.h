@@ -3,10 +3,10 @@
 //
 // The proxy engine executes a ChannelSchedule: an ordered list of CommSteps,
 // each naming an optional send (peer rank + buffer chunk + tag) and an
-// optional receive (tag + chunk + reduce/copy). Ring algorithms (ring.h) are
-// lowered into this form with peers resolved through the ring ordering and
-// positional chunks mapped to buffer chunks; tree algorithms (§5 "other
-// algorithms, e.g., tree algorithms") are generated directly.
+// optional receive (tag + chunk + reduce/copy). The plan compiler
+// (compiler.h, compile_collective) is the only producer: it lowers every
+// (collective, algorithm) pair into this form, resolving ring peers through
+// the ring ordering and mapping positional chunks to buffer chunks.
 //
 // Buffer partition semantics: the logical work buffer is divided into
 // `num_chunks` pieces. For AllGather/ReduceScatter these are the fixed
@@ -40,53 +40,5 @@ struct ChannelSchedule {
   std::vector<CommStep> steps;
   std::size_t num_chunks = 0;  ///< partition granularity of the work buffer
 };
-
-/// Lower a ring algorithm for `rank` under `order` into a ChannelSchedule.
-/// `root` is used by Broadcast only.
-ChannelSchedule build_ring_schedule(CollectiveKind kind, const RingOrder& order,
-                                    int rank, int root = 0);
-
-// --- binary-tree algorithms ---------------------------------------------------
-// A complete binary tree over ranks rotated so `root` is the tree root
-// (node i's parent is (i-1)/2 in rotated space). Pipelined over `num_chunks`
-// buffer chunks: AllReduce reduces chunk-by-chunk up the tree then broadcasts
-// down; Broadcast streams chunks down. Latency scales with 2*log2(n) + the
-// pipeline depth instead of the ring's 2(n-1) — the classic small-message
-// win the ring/tree ablation bench measures.
-
-/// Tree AllReduce (reduce-to-root + broadcast); every rank ends with the
-/// full reduction.
-ChannelSchedule build_tree_allreduce_schedule(int nranks, int rank,
-                                              std::size_t num_chunks);
-
-/// Tree Broadcast from `root`.
-ChannelSchedule build_tree_broadcast_schedule(int nranks, int rank, int root,
-                                              std::size_t num_chunks);
-
-/// Edges (src rank -> dst rank) a tree schedule uses, for flow assignment.
-std::vector<std::pair<int, int>> tree_edges(int nranks, int root,
-                                            CollectiveKind kind);
-
-/// Chain (pipelined ring-order) Reduce: data flows along the ring towards
-/// `root`, each hop reducing; only the root holds the result.
-ChannelSchedule build_chain_reduce_schedule(const RingOrder& order, int rank,
-                                            int root);
-
-/// Tree Reduce: the reduce half of the tree AllReduce, rooted at `root`.
-ChannelSchedule build_tree_reduce_schedule(int nranks, int rank, int root,
-                                           std::size_t num_chunks);
-
-/// Pairwise AllToAll: at exchange step s, rank r sends its send-buffer block
-/// (r + s) mod n to that rank and receives block r of rank (r - s) mod n.
-/// Source and destination blocks differ — the executor reads the sender's
-/// block `send_chunk` and writes the receiver's block `recv_chunk`.
-ChannelSchedule build_alltoall_schedule(int nranks, int rank);
-
-/// Star Gather: every non-root sends its (single-block) buffer straight to
-/// the root, which stores it at block index of the sender.
-ChannelSchedule build_gather_schedule(int nranks, int rank, int root);
-
-/// Star Scatter: the root sends block j of its buffer to rank j.
-ChannelSchedule build_scatter_schedule(int nranks, int rank, int root);
 
 }  // namespace mccs::coll

@@ -3,12 +3,12 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
-#include <map>
 #include <numeric>
-#include <set>
 #include <vector>
 
+#include "collectives/compiler.h"
 #include "collectives/types.h"
+#include "schedule_ledger.h"
 
 namespace mccs::coll {
 namespace {
@@ -63,113 +63,19 @@ TEST(ChunkRange, PartitionsExactlyWithoutOverlap) {
 }
 
 // --- schedule simulation ------------------------------------------------------------
-// Execute a schedule abstractly on per-rank chunk "ledgers" to prove data
-// correctness properties independent of the service implementation.
+// Execute compiled ring schedules abstractly on per-rank chunk ledgers
+// (schedule_ledger.h) to prove data correctness properties independent of
+// the service implementation. state[rank][chunk] maps each input rank to the
+// number of times its contribution is held there.
 
-using Ledger = std::vector<std::map<int, int>>;  // per chunk: {input rank: count}
-
-Ledger run_ring(int n, CollectiveKind kind,
-                const std::vector<int>& order_vec, int root = 0) {
-  RingOrder order(order_vec);
-  // state[rank][chunk] = multiset of contributions (input rank -> count).
-  std::vector<Ledger> state(static_cast<std::size_t>(n),
-                            Ledger(static_cast<std::size_t>(n)));
-  for (int r = 0; r < n; ++r) {
-    const int p = order.position_of(r);
-    switch (kind) {
-      case CollectiveKind::kAllReduce:
-      case CollectiveKind::kReduceScatter:
-        for (int c = 0; c < n; ++c) state[r][static_cast<std::size_t>(c)][r] = 1;
-        break;
-      case CollectiveKind::kAllGather: {
-        const std::size_t own =
-            chunk_to_buffer_index(kind, order, static_cast<std::size_t>(p));
-        state[r][own][r] = 1;
-        break;
-      }
-      case CollectiveKind::kBroadcast:
-        if (r == root) {
-          for (int c = 0; c < n; ++c) state[r][static_cast<std::size_t>(c)][root] = 1;
-        }
-        break;
-      default:
-        break;
-    }
-  }
-
-  std::vector<std::vector<RingStep>> steps(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    const int p = order.position_of(r);
-    switch (kind) {
-      case CollectiveKind::kAllReduce: steps[r] = ring_allreduce_steps(n, p); break;
-      case CollectiveKind::kAllGather: steps[r] = ring_allgather_steps(n, p); break;
-      case CollectiveKind::kReduceScatter:
-        steps[r] = ring_reducescatter_steps(n, p);
-        break;
-      case CollectiveKind::kBroadcast: {
-        const int rel = ((p - order.position_of(root)) % n + n) % n;
-        steps[r] = ring_broadcast_steps(n, rel);
-        break;
-      }
-      default:
-        break;
-    }
-  }
-
-  // Message-driven execution mirroring the service executor: each rank walks
-  // its steps in order; a send is applied at the receiver immediately and
-  // tagged; a step completes once its send is out and its recv tag arrived.
-  std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-  std::vector<bool> sent(static_cast<std::size_t>(n), false);
-  std::vector<std::set<int>> arrived(static_cast<std::size_t>(n));
-  bool progress = true;
-  auto all_done = [&] {
-    for (int r = 0; r < n; ++r)
-      if (cur[static_cast<std::size_t>(r)] < steps[r].size()) return false;
-    return true;
-  };
-  while (!all_done()) {
-    EXPECT_TRUE(progress) << "schedule deadlocked";
-    if (!progress) break;
-    progress = false;
-    for (int r = 0; r < n; ++r) {
-      auto& c = cur[static_cast<std::size_t>(r)];
-      if (c >= steps[r].size()) continue;
-      const RingStep& st = steps[r][c];
-      if (st.has_send() && !sent[static_cast<std::size_t>(r)]) {
-        const std::size_t buf = chunk_to_buffer_index(kind, order, st.send_chunk);
-        const int dst = order.next_rank(r);
-        auto& dst_chunk = state[dst][buf];
-        if (st.reduce) {
-          for (auto& [who, cnt] : state[r][buf]) dst_chunk[who] += cnt;
-        } else {
-          dst_chunk = state[r][buf];
-        }
-        arrived[static_cast<std::size_t>(dst)].insert(st.send_tag);
-        sent[static_cast<std::size_t>(r)] = true;
-        progress = true;
-      }
-      const bool send_ok = !st.has_send() || sent[static_cast<std::size_t>(r)];
-      const bool recv_ok =
-          !st.has_recv() || arrived[static_cast<std::size_t>(r)].count(st.recv_tag) > 0;
-      if (send_ok && recv_ok) {
-        ++c;
-        sent[static_cast<std::size_t>(r)] = false;
-        progress = true;
-      }
-    }
-  }
-
-  // Flatten: per rank, map keyed chunk*n + contributor -> count.
-  Ledger out(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    for (int c = 0; c < n; ++c) {
-      for (auto& [who, cnt] : state[r][static_cast<std::size_t>(c)]) {
-        out[r][c * n + who] = cnt;
-      }
-    }
-  }
-  return out;
+std::vector<test::Ledger> run_ring(CollectiveKind kind,
+                                   const std::vector<int>& order_vec,
+                                   int root = 0) {
+  const int n = static_cast<int>(order_vec.size());
+  const auto scheds = test::schedules_of(test::compile_all(
+      kind, Algorithm::kRing, RingOrder(order_vec), root, 8));
+  return test::run_schedules(
+      scheds, test::initial_state(kind, n, root, static_cast<std::size_t>(n)));
 }
 
 class RingScheduleP : public ::testing::TestWithParam<int> {};
@@ -178,11 +84,11 @@ TEST_P(RingScheduleP, AllReduceEveryRankSumsEveryInputExactlyOnce) {
   const int n = GetParam();
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
-  auto state = run_ring(n, CollectiveKind::kAllReduce, order);
+  auto state = run_ring(CollectiveKind::kAllReduce, order);
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
       for (int who = 0; who < n; ++who) {
-        EXPECT_EQ(state[r].at(c * n + who), 1)
+        EXPECT_EQ(state[r][c].at(who), 1)
             << "rank " << r << " chunk " << c << " contributor " << who;
       }
     }
@@ -196,11 +102,11 @@ TEST_P(RingScheduleP, AllReduceCorrectUnderArbitraryRingOrder) {
   std::iota(order.begin(), order.end(), 0);
   std::rotate(order.begin(), order.begin() + 1, order.end());
   std::reverse(order.begin() + 1, order.end());
-  auto state = run_ring(n, CollectiveKind::kAllReduce, order);
+  auto state = run_ring(CollectiveKind::kAllReduce, order);
   for (int r = 0; r < n; ++r)
     for (int c = 0; c < n; ++c)
       for (int who = 0; who < n; ++who)
-        EXPECT_EQ(state[r].at(c * n + who), 1);
+        EXPECT_EQ(state[r][c].at(who), 1);
 }
 
 TEST_P(RingScheduleP, AllGatherEveryRankHoldsEveryContribution) {
@@ -208,15 +114,15 @@ TEST_P(RingScheduleP, AllGatherEveryRankHoldsEveryContribution) {
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   std::rotate(order.begin(), order.begin() + n / 2, order.end());
-  auto state = run_ring(n, CollectiveKind::kAllGather, order);
+  auto state = run_ring(CollectiveKind::kAllGather, order);
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
       // Buffer chunk c must hold exactly rank c's contribution.
-      EXPECT_EQ(state[r].count(c * n + c), 1u) << "rank " << r << " chunk " << c;
-      EXPECT_EQ(state[r].at(c * n + c), 1);
+      EXPECT_EQ(state[r][c].count(c), 1u) << "rank " << r << " chunk " << c;
+      EXPECT_EQ(state[r][c].at(c), 1);
       for (int who = 0; who < n; ++who) {
         if (who != c) {
-          EXPECT_EQ(state[r].count(c * n + who), 0u);
+          EXPECT_EQ(state[r][c].count(who), 0u);
         }
       }
     }
@@ -227,7 +133,7 @@ TEST_P(RingScheduleP, ReduceScatterOwnedChunkHasAllContributions) {
   const int n = GetParam();
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
-  auto state = run_ring(n, CollectiveKind::kReduceScatter, order);
+  auto state = run_ring(CollectiveKind::kReduceScatter, order);
   RingOrder ro(order);
   for (int r = 0; r < n; ++r) {
     const int p = ro.position_of(r);
@@ -235,7 +141,7 @@ TEST_P(RingScheduleP, ReduceScatterOwnedChunkHasAllContributions) {
     const std::size_t buf = chunk_to_buffer_index(CollectiveKind::kReduceScatter, ro, owned_pos);
     EXPECT_EQ(buf, static_cast<std::size_t>(r)) << "owned chunk must be own rank";
     for (int who = 0; who < n; ++who) {
-      EXPECT_EQ(state[r].at(static_cast<int>(buf) * n + who), 1)
+      EXPECT_EQ(state[r][buf].at(who), 1)
           << "rank " << r << " contributor " << who;
     }
   }
@@ -246,10 +152,10 @@ TEST_P(RingScheduleP, BroadcastDeliversRootDataEverywhere) {
   std::vector<int> order(static_cast<std::size_t>(n));
   std::iota(order.begin(), order.end(), 0);
   const int root = n / 2;
-  auto state = run_ring(n, CollectiveKind::kBroadcast, order, root);
+  auto state = run_ring(CollectiveKind::kBroadcast, order, root);
   for (int r = 0; r < n; ++r) {
     for (int c = 0; c < n; ++c) {
-      EXPECT_EQ(state[r].at(c * n + root), 1) << "rank " << r << " chunk " << c;
+      EXPECT_EQ(state[r][c].at(root), 1) << "rank " << r << " chunk " << c;
     }
   }
 }
@@ -257,18 +163,29 @@ TEST_P(RingScheduleP, BroadcastDeliversRootDataEverywhere) {
 INSTANTIATE_TEST_SUITE_P(Sizes, RingScheduleP, ::testing::Values(2, 3, 4, 5, 8, 16));
 
 // --- step counts ----------------------------------------------------------------
+// Counted on compile_collective's ring output (identity order: rank ==
+// position).
+
+CompiledSchedule compiled_ring(CollectiveKind kind, int n, int rank) {
+  return test::compile_all(kind, Algorithm::kRing, RingOrder::identity(n), 0,
+                           8)[static_cast<std::size_t>(rank)];
+}
 
 TEST(RingSchedules, AllReduceHasTwoNMinusTwoSteps) {
-  EXPECT_EQ(ring_allreduce_steps(8, 3).size(), 14u);
+  EXPECT_EQ(compiled_ring(CollectiveKind::kAllReduce, 8, 3).schedule.steps.size(),
+            14u);
 }
 TEST(RingSchedules, AllGatherHasNMinusOneSteps) {
-  EXPECT_EQ(ring_allgather_steps(8, 3).size(), 7u);
+  EXPECT_EQ(compiled_ring(CollectiveKind::kAllGather, 8, 3).schedule.steps.size(),
+            7u);
 }
 TEST(RingSchedules, ReduceScatterStepsReduce) {
-  for (const auto& s : ring_reducescatter_steps(4, 1)) EXPECT_TRUE(s.reduce);
+  const auto rs = compiled_ring(CollectiveKind::kReduceScatter, 4, 1);
+  for (const auto& s : rs.schedule.steps) EXPECT_TRUE(s.reduce);
 }
 TEST(RingSchedules, AllGatherStepsCopy) {
-  for (const auto& s : ring_allgather_steps(4, 1)) EXPECT_FALSE(s.reduce);
+  const auto ag = compiled_ring(CollectiveKind::kAllGather, 4, 1);
+  for (const auto& s : ag.schedule.steps) EXPECT_FALSE(s.reduce);
 }
 
 // --- bandwidth math ----------------------------------------------------------------

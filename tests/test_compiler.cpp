@@ -2,25 +2,28 @@
 //
 // Coverage, per the compiler's contract:
 //  * correctness sweep — every CollectiveKind x every selectable algorithm x
-//    nranks 2..17, executed abstractly over contribution ledgers and checked
-//    against the collective's set-theoretic oracle;
-//  * lowering bit-identity — under kRing the compiled schedule equals the
-//    hand-written builders step for step (the paper-figure goldens depend on
-//    it), and under kTree it equals the rotated-binary-tree builders;
+//    nranks 2..17, executed abstractly over contribution ledgers
+//    (schedule_ledger.h) and checked against the collective's set-theoretic
+//    oracle;
+//  * emission digest — every compiled output of the sweep folded into one
+//    FNV-1a 64 value pinned to the lowering the paper-figure goldens were
+//    captured with, so any change to a step, tag, chunk or phase fails;
 //  * tree_edges audit — the advertised flow edges of every tree schedule
-//    match the edges the per-rank schedules actually send on, for
+//    match the edges the per-rank compiled schedules actually send on, for
 //    nranks in [2, 64] and multiple roots (the phantom-reduce-edge bugfix);
 //  * edge coverage — every send a compiled schedule performs is inside
 //    algorithm_edges(), so flow assignment places demand for all of it;
 //  * the algorithm-choice pass (analytic cost model), the hierarchy summary
 //    and the compiler fingerprint;
 //  * end-to-end numerical correctness through the MCCS service for the two
-//    algorithms no legacy builder covers (double binary tree, pairwise),
-//    including a 17-rank communicator and the single-rank short-circuit.
+//    algorithms whose only other checks are schedule-level (double binary
+//    tree, pairwise), including a 17-rank communicator and the single-rank
+//    short-circuit.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <map>
 #include <set>
 #include <utility>
@@ -28,10 +31,10 @@
 
 #include "cluster/cluster.h"
 #include "collectives/compiler.h"
-#include "collectives/schedule.h"
 #include "helpers.h"
 #include "mccs/fabric.h"
 #include "mccs/strategy.h"
+#include "schedule_ledger.h"
 
 namespace mccs {
 namespace {
@@ -41,149 +44,12 @@ using coll::ChannelSchedule;
 using coll::CollectiveKind;
 using coll::CommStep;
 using coll::CompiledSchedule;
-using coll::CompileInput;
 using coll::RingOrder;
 
-// --- abstract ledger execution ---------------------------------------------------
-
-/// Same message-driven executor as the ring/tree schedule tests, generalised
-/// to schedules whose matched send/recv pairs may name different buffer
-/// chunks (AllToAll moves block `dst` of the sender into block `src` of the
-/// receiver).
-using Ledger = std::vector<std::map<int, int>>;  // per chunk: contributor->count
-
-std::vector<Ledger> run_schedules(const std::vector<ChannelSchedule>& scheds,
-                                  std::vector<Ledger> state,
-                                  bool frozen_sends = false) {
-  const int n = static_cast<int>(scheds.size());
-  // AllToAll reads from a send buffer the receives never touch (the shim
-  // takes distinct pointers); every other kind operates in one work buffer.
-  const std::vector<Ledger> send_state = frozen_sends ? state
-                                                      : std::vector<Ledger>{};
-  std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-  std::vector<bool> sent(static_cast<std::size_t>(n), false);
-  std::vector<std::set<int>> arrived(static_cast<std::size_t>(n));
-  bool progress = true;
-  auto all_done = [&] {
-    for (int r = 0; r < n; ++r) {
-      if (cur[static_cast<std::size_t>(r)] <
-          scheds[static_cast<std::size_t>(r)].steps.size())
-        return false;
-    }
-    return true;
-  };
-  while (!all_done()) {
-    EXPECT_TRUE(progress) << "compiled schedule deadlocked";
-    if (!progress) break;
-    progress = false;
-    for (int r = 0; r < n; ++r) {
-      auto& c = cur[static_cast<std::size_t>(r)];
-      const auto& steps = scheds[static_cast<std::size_t>(r)].steps;
-      if (c >= steps.size()) continue;
-      const CommStep& st = steps[c];
-      if (st.has_send() && !sent[static_cast<std::size_t>(r)]) {
-        const auto& peer_steps =
-            scheds[static_cast<std::size_t>(st.send_to)].steps;
-        const CommStep* match = nullptr;
-        for (const CommStep& ps : peer_steps) {
-          if (ps.has_recv() && ps.recv_tag == st.send_tag) {
-            match = &ps;
-            break;
-          }
-        }
-        EXPECT_NE(match, nullptr) << "unmatched send tag " << st.send_tag;
-        if (match == nullptr) return state;
-        EXPECT_EQ(match->recv_from, r);
-        auto& dst_chunk =
-            state[static_cast<std::size_t>(st.send_to)][match->recv_chunk];
-        const auto& src_chunk =
-            (frozen_sends ? send_state
-                          : state)[static_cast<std::size_t>(r)][st.send_chunk];
-        if (match->reduce) {
-          for (const auto& [who, cnt] : src_chunk) dst_chunk[who] += cnt;
-        } else {
-          dst_chunk = src_chunk;
-        }
-        arrived[static_cast<std::size_t>(st.send_to)].insert(st.send_tag);
-        sent[static_cast<std::size_t>(r)] = true;
-        progress = true;
-      }
-      const bool send_ok = !st.has_send() || sent[static_cast<std::size_t>(r)];
-      const bool recv_ok = !st.has_recv() ||
-                           arrived[static_cast<std::size_t>(r)].count(st.recv_tag) > 0;
-      if (send_ok && recv_ok) {
-        ++c;
-        sent[static_cast<std::size_t>(r)] = false;
-        progress = true;
-      }
-    }
-  }
-  return state;
-}
-
-std::vector<CompiledSchedule> compile_all(CollectiveKind kind, Algorithm algo,
-                                          const RingOrder& order, int root,
-                                          std::size_t tree_chunks,
-                                          const std::vector<int>* hosts = nullptr) {
-  const int n = static_cast<int>(order.size());
-  std::vector<CompiledSchedule> out;
-  out.reserve(static_cast<std::size_t>(n));
-  for (int r = 0; r < n; ++r) {
-    CompileInput in;
-    in.kind = kind;
-    in.algorithm = algo;
-    in.nranks = n;
-    in.rank = r;
-    in.root = root;
-    in.order = &order;
-    in.tree_chunks = tree_chunks;
-    in.host_of_rank = hosts;
-    out.push_back(coll::compile_collective(in));
-  }
-  return out;
-}
-
-/// Initial ledgers encoding who holds what before the collective runs.
-std::vector<Ledger> initial_state(CollectiveKind kind, int n, int root,
-                                  std::size_t chunks) {
-  std::vector<Ledger> state(static_cast<std::size_t>(n), Ledger(chunks));
-  auto& s = state;
-  switch (kind) {
-    case CollectiveKind::kAllReduce:
-    case CollectiveKind::kReduce:
-    case CollectiveKind::kReduceScatter:
-      // Every rank contributes to every chunk.
-      for (int r = 0; r < n; ++r)
-        for (std::size_t c = 0; c < chunks; ++c)
-          s[static_cast<std::size_t>(r)][c][r] = 1;
-      break;
-    case CollectiveKind::kBroadcast:
-      for (std::size_t c = 0; c < chunks; ++c)
-        s[static_cast<std::size_t>(root)][c][root] = 1;
-      break;
-    case CollectiveKind::kAllGather:
-      // Rank r starts holding only its own block.
-      for (int r = 0; r < n; ++r)
-        s[static_cast<std::size_t>(r)][static_cast<std::size_t>(r)][r] = 1;
-      break;
-    case CollectiveKind::kAllToAll:
-      // Block b of rank r is the distinct token r*1000 + b.
-      for (int r = 0; r < n; ++r)
-        for (std::size_t b = 0; b < chunks; ++b)
-          s[static_cast<std::size_t>(r)][b][r * 1000 + static_cast<int>(b)] = 1;
-      break;
-    case CollectiveKind::kGather:
-      // Non-roots hold their single block at chunk 0.
-      for (int r = 0; r < n; ++r)
-        if (r != root) s[static_cast<std::size_t>(r)][0][r] = 1;
-      break;
-    case CollectiveKind::kScatter:
-      for (std::size_t c = 0; c < chunks; ++c)
-        s[static_cast<std::size_t>(root)][c][1000 + static_cast<int>(c)] = 1;
-      break;
-  }
-  return state;
-}
+using test::compile_all;
+using test::initial_state;
+using test::Ledger;
+using test::run_schedules;
 
 /// The collective's set-theoretic oracle over final ledgers.
 void verify_state(CollectiveKind kind, int n, int root, std::size_t chunks,
@@ -355,7 +221,7 @@ INSTANTIATE_TEST_SUITE_P(
                       CollectiveKind::kAllToAll, CollectiveKind::kGather,
                       CollectiveKind::kScatter));
 
-// --- lowering bit-identity -------------------------------------------------------
+// --- lowering emission ------------------------------------------------------------
 
 void expect_same_schedule(const ChannelSchedule& got,
                           const ChannelSchedule& want) {
@@ -375,77 +241,68 @@ void expect_same_schedule(const ChannelSchedule& got,
   }
 }
 
-ChannelSchedule legacy_ring(CollectiveKind kind, const RingOrder& order,
-                            int rank, int root) {
-  const int n = static_cast<int>(order.size());
-  switch (kind) {
-    case CollectiveKind::kReduce:
-      return coll::build_chain_reduce_schedule(order, rank, root);
-    case CollectiveKind::kAllToAll:
-      return coll::build_alltoall_schedule(n, rank);
-    case CollectiveKind::kGather:
-      return coll::build_gather_schedule(n, rank, root);
-    case CollectiveKind::kScatter:
-      return coll::build_scatter_schedule(n, rank, root);
-    default:
-      return coll::build_ring_schedule(kind, order, rank, root);
-  }
-}
-
-TEST(CompilerLowering, RingIsBitIdenticalToHandwrittenBuilders) {
+// Every compiled output of the sweep below, folded into one FNV-1a 64 digest.
+// The expected value was captured from the lowering as it stood before the
+// hand-written builders were folded into the compiler, so any change to a
+// step, a tag, a chunk mapping or a phase record of any (kind, algorithm, n,
+// order, root, tree_chunks) combination fails here — a pin that does not
+// compare the compiler with a second copy of itself.
+TEST(CompilerLowering, EmissionDigestMatchesParent) {
+  std::uint64_t h = 14695981039346656037ull;
+  const auto fold = [&h](auto v) {
+    const auto u = static_cast<std::uint64_t>(static_cast<std::int64_t>(v));
+    for (int b = 0; b < 64; b += 8) {
+      h = (h ^ ((u >> b) & 0xffu)) * 1099511628211ull;
+    }
+  };
   const CollectiveKind kinds[] = {
       CollectiveKind::kAllReduce,     CollectiveKind::kAllGather,
       CollectiveKind::kReduceScatter, CollectiveKind::kBroadcast,
       CollectiveKind::kReduce,        CollectiveKind::kAllToAll,
       CollectiveKind::kGather,        CollectiveKind::kScatter};
-  for (const int n : {2, 3, 5, 8, 13, 16}) {
-    for (const RingOrder& order : {RingOrder::identity(n), scrambled_order(n)}) {
-      for (const CollectiveKind kind : kinds) {
-        for (const int root : is_rooted(kind) ? std::vector<int>{0, n - 1}
-                                              : std::vector<int>{0}) {
-          for (int rank = 0; rank < n; ++rank) {
-            SCOPED_TRACE(::testing::Message()
-                         << coll::to_string(kind) << " n " << n << " rank "
-                         << rank << " root " << root);
-            const auto compiled =
-                compile_all(kind, Algorithm::kRing, order, root, 8);
-            expect_same_schedule(compiled[static_cast<std::size_t>(rank)].schedule,
-                                 legacy_ring(kind, order, rank, root));
-            if (!is_fixed_shape(kind)) {
-              EXPECT_TRUE(compiled[static_cast<std::size_t>(rank)].is_ring);
-              EXPECT_EQ(compiled[static_cast<std::size_t>(rank)].my_position,
-                        order.position_of(rank));
+  std::size_t plans = 0;
+  for (const CollectiveKind kind : kinds) {
+    for (const Algorithm algo : coll::selectable_algorithms(kind)) {
+      for (int n = 2; n <= 17; ++n) {
+        for (const RingOrder& order : {RingOrder::identity(n), scrambled_order(n)}) {
+          for (const int root : is_rooted(kind) ? std::vector<int>{0, n - 1}
+                                                : std::vector<int>{0}) {
+            for (const std::size_t kk : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
+              for (const CompiledSchedule& cs :
+                   compile_all(kind, algo, order, root, kk)) {
+                fold(cs.schedule.num_chunks);
+                fold(cs.schedule.steps.size());
+                for (const CommStep& st : cs.schedule.steps) {
+                  fold(st.index);
+                  fold(st.send_to);
+                  fold(st.send_chunk);
+                  fold(st.send_tag);
+                  fold(st.recv_from);
+                  fold(st.recv_chunk);
+                  fold(st.recv_tag);
+                  fold(st.reduce);
+                }
+                fold(cs.is_ring);
+                fold(cs.my_position);
+                fold(cs.phases.size());
+                for (const coll::PhasePlan& ph : cs.phases) {
+                  fold(static_cast<int>(ph.op));
+                  fold(static_cast<int>(ph.shape));
+                  fold(ph.root);
+                  fold(ph.tag_base);
+                  fold(ph.chunk_begin);
+                  fold(ph.chunk_end);
+                }
+                ++plans;
+              }
             }
           }
         }
       }
     }
   }
-}
-
-TEST(CompilerLowering, TreeIsBitIdenticalToTreeBuilders) {
-  for (const int n : {2, 3, 5, 8, 16, 17}) {
-    for (const std::size_t kk : {std::size_t{1}, std::size_t{3}, std::size_t{8}}) {
-      const RingOrder id = RingOrder::identity(n);
-      for (int rank = 0; rank < n; ++rank) {
-        SCOPED_TRACE(::testing::Message() << "n " << n << " kk " << kk
-                                          << " rank " << rank);
-        const auto ar = compile_all(CollectiveKind::kAllReduce,
-                                    Algorithm::kTree, id, 0, kk);
-        expect_same_schedule(ar[static_cast<std::size_t>(rank)].schedule,
-                             coll::build_tree_allreduce_schedule(n, rank, kk));
-        const int root = (n - 1) / 2;
-        const auto bc = compile_all(CollectiveKind::kBroadcast,
-                                    Algorithm::kTree, id, root, kk);
-        expect_same_schedule(bc[static_cast<std::size_t>(rank)].schedule,
-                             coll::build_tree_broadcast_schedule(n, rank, root, kk));
-        const auto rd = compile_all(CollectiveKind::kReduce, Algorithm::kTree,
-                                    id, root, kk);
-        expect_same_schedule(rd[static_cast<std::size_t>(rank)].schedule,
-                             coll::build_tree_reduce_schedule(n, rank, root, kk));
-      }
-    }
-  }
+  EXPECT_EQ(plans, 24624u);
+  EXPECT_EQ(h, 0xb04127a8adfe1dd5ull) << std::hex << "digest 0x" << h;
 }
 
 TEST(CompilerLowering, TreeScheduleIgnoresRingOrder) {
@@ -476,20 +333,11 @@ TEST(TreeEdgesAudit, AdvertisedEdgesMatchSchedulesForRanks2To64) {
       SCOPED_TRACE(::testing::Message() << coll::to_string(kind) << " n " << n
                                         << " root " << root);
       std::set<std::pair<int, int>> sched_edges;
+      const auto compiled = compile_all(kind, Algorithm::kTree,
+                                        RingOrder::identity(n), root, 2);
       for (int rank = 0; rank < n; ++rank) {
-        ChannelSchedule sched;
-        switch (kind) {
-          case CollectiveKind::kAllReduce:
-            sched = coll::build_tree_allreduce_schedule(n, rank, 2);
-            break;
-          case CollectiveKind::kBroadcast:
-            sched = coll::build_tree_broadcast_schedule(n, rank, root, 2);
-            break;
-          default:
-            sched = coll::build_tree_reduce_schedule(n, rank, root, 2);
-            break;
-        }
-        for (const CommStep& st : sched.steps) {
+        for (const CommStep& st :
+             compiled[static_cast<std::size_t>(rank)].schedule.steps) {
           if (st.has_send()) sched_edges.insert({rank, st.send_to});
         }
       }

@@ -1,111 +1,51 @@
 // Tests of the binary-tree collective schedules (§5 extension) — both the
-// abstract schedule properties and end-to-end numerical correctness through
-// the MCCS service with a tree strategy installed.
+// abstract properties of the compiled kTree schedules and end-to-end
+// numerical correctness through the MCCS service with a tree strategy
+// installed.
 
 #include <gtest/gtest.h>
 
 #include <cstdint>
-#include <map>
 #include <set>
 #include <type_traits>
 
 #include "cluster/cluster.h"
-#include "collectives/schedule.h"
+#include "collectives/compiler.h"
 #include "helpers.h"
 #include "mccs/fabric.h"
+#include "schedule_ledger.h"
 
 namespace mccs {
 namespace {
 
-using coll::ChannelSchedule;
+using coll::Algorithm;
 using coll::CollectiveKind;
 using coll::CommStep;
+using coll::RingOrder;
 
 // --- schedule-level properties ---------------------------------------------------
 
-/// Message-driven abstract execution over contribution ledgers (same idea as
-/// the ring-schedule tests, generalised to arbitrary peers).
-using Ledger = std::vector<std::map<int, int>>;  // per chunk: contributor->count
-
-std::vector<Ledger> run_tree(int n, CollectiveKind kind, int root,
-                             std::size_t chunks) {
-  std::vector<ChannelSchedule> scheds(static_cast<std::size_t>(n));
+/// Compile a kTree collective for every rank and execute it over contribution
+/// ledgers (schedule_ledger.h).
+std::vector<test::Ledger> run_tree(int n, CollectiveKind kind, int root,
+                                   std::size_t chunks) {
+  const auto scheds = test::schedules_of(test::compile_all(
+      kind, Algorithm::kTree, RingOrder::identity(n), root, chunks));
+  // Tree hops never move data between chunks: every send lands in the same
+  // chunk index at the receiver's matching recv.
   for (int r = 0; r < n; ++r) {
-    scheds[static_cast<std::size_t>(r)] =
-        kind == CollectiveKind::kAllReduce
-            ? coll::build_tree_allreduce_schedule(n, r, chunks)
-            : coll::build_tree_broadcast_schedule(n, r, root, chunks);
-  }
-  std::vector<Ledger> state(static_cast<std::size_t>(n), Ledger(chunks));
-  for (int r = 0; r < n; ++r) {
-    if (kind == CollectiveKind::kAllReduce || r == root) {
-      for (std::size_t c = 0; c < chunks; ++c) {
-        state[static_cast<std::size_t>(r)][c][kind == CollectiveKind::kAllReduce
-                                                  ? r
-                                                  : root] = 1;
-      }
-    }
-  }
-
-  std::vector<std::size_t> cur(static_cast<std::size_t>(n), 0);
-  std::vector<bool> sent(static_cast<std::size_t>(n), false);
-  std::vector<std::set<int>> arrived(static_cast<std::size_t>(n));
-  bool progress = true;
-  auto all_done = [&] {
-    for (int r = 0; r < n; ++r) {
-      if (cur[static_cast<std::size_t>(r)] <
-          scheds[static_cast<std::size_t>(r)].steps.size())
-        return false;
-    }
-    return true;
-  };
-  while (!all_done()) {
-    EXPECT_TRUE(progress) << "tree schedule deadlocked";
-    if (!progress) break;
-    progress = false;
-    for (int r = 0; r < n; ++r) {
-      auto& c = cur[static_cast<std::size_t>(r)];
-      const auto& steps = scheds[static_cast<std::size_t>(r)].steps;
-      if (c >= steps.size()) continue;
-      const CommStep& st = steps[c];
-      if (st.has_send() && !sent[static_cast<std::size_t>(r)]) {
-        // Locate the receiver's matching recv to learn reduce-vs-copy (the
-        // executor resolves this from the receiver's recv_info).
-        const auto& peer_steps = scheds[static_cast<std::size_t>(st.send_to)].steps;
-        const CommStep* match = nullptr;
-        for (const CommStep& ps : peer_steps) {
-          if (ps.has_recv() && ps.recv_tag == st.send_tag) {
-            match = &ps;
-            break;
-          }
+    for (const CommStep& st : scheds[static_cast<std::size_t>(r)].steps) {
+      if (!st.has_send()) continue;
+      for (const CommStep& ps :
+           scheds[static_cast<std::size_t>(st.send_to)].steps) {
+        if (ps.has_recv() && ps.recv_tag == st.send_tag) {
+          EXPECT_EQ(ps.recv_chunk, st.send_chunk);
+          break;
         }
-        EXPECT_NE(match, nullptr) << "unmatched send tag";
-        if (match == nullptr) return state;
-        EXPECT_EQ(match->recv_chunk, st.send_chunk);
-        EXPECT_EQ(match->recv_from, r);
-        auto& dst_chunk = state[static_cast<std::size_t>(st.send_to)][st.send_chunk];
-        if (match->reduce) {
-          for (auto& [who, cnt] : state[static_cast<std::size_t>(r)][st.send_chunk]) {
-            dst_chunk[who] += cnt;
-          }
-        } else {
-          dst_chunk = state[static_cast<std::size_t>(r)][st.send_chunk];
-        }
-        arrived[static_cast<std::size_t>(st.send_to)].insert(st.send_tag);
-        sent[static_cast<std::size_t>(r)] = true;
-        progress = true;
-      }
-      const bool send_ok = !st.has_send() || sent[static_cast<std::size_t>(r)];
-      const bool recv_ok =
-          !st.has_recv() || arrived[static_cast<std::size_t>(r)].count(st.recv_tag) > 0;
-      if (send_ok && recv_ok) {
-        ++c;
-        sent[static_cast<std::size_t>(r)] = false;
-        progress = true;
       }
     }
   }
-  return state;
+  return test::run_schedules(scheds, test::initial_state(kind, n, root, chunks));
 }
 
 // gtest names each case by the raw bytes of its parameter, so the struct
@@ -154,15 +94,31 @@ INSTANTIATE_TEST_SUITE_P(Sizes, TreeScheduleP,
 
 TEST(TreeSchedule, DepthIsLogarithmic) {
   // A leaf's step count is O(chunks * log n), not O(chunks * n).
-  const auto leaf = coll::build_tree_allreduce_schedule(64, 63, 4);
-  EXPECT_LT(leaf.steps.size(), 4u * 2 * 8);
+  const auto compiled = test::compile_all(CollectiveKind::kAllReduce,
+                                          Algorithm::kTree,
+                                          RingOrder::identity(64), 0, 4);
+  EXPECT_LT(compiled[63].schedule.steps.size(), 4u * 2 * 8);
 }
 
 TEST(TreeSchedule, EdgesCoverEveryNonRootOnce) {
-  const auto edges = coll::tree_edges(9, 2, CollectiveKind::kBroadcast);
+  // The edges a compiled tree Broadcast sends on, and the ones tree_edges
+  // advertises for it, are both the n-1 downward edges.
+  const int n = 9;
+  const int root = 2;
+  const auto compiled = test::compile_all(CollectiveKind::kBroadcast,
+                                          Algorithm::kTree,
+                                          RingOrder::identity(n), root, 3);
+  std::set<std::pair<int, int>> sent;
+  for (int r = 0; r < n; ++r) {
+    for (const CommStep& st : compiled[static_cast<std::size_t>(r)].schedule.steps) {
+      if (st.has_send()) sent.insert({r, st.send_to});
+    }
+  }
+  const auto edges = coll::tree_edges(n, root, CollectiveKind::kBroadcast);
   EXPECT_EQ(edges.size(), 8u);  // n-1 downward edges
+  EXPECT_EQ(sent, (std::set<std::pair<int, int>>(edges.begin(), edges.end())));
   std::set<int> receivers;
-  for (auto [src, dst] : edges) receivers.insert(dst);
+  for (auto [src, dst] : sent) receivers.insert(dst);
   EXPECT_EQ(receivers.size(), 8u);
   EXPECT_EQ(receivers.count(2), 0u);  // root receives nothing
 }
