@@ -19,7 +19,9 @@
 // stats.h tail_summary), cluster goodput (admitted GPU-time / total
 // GPU-time — identical across modes by construction, admission is
 // mode-independent), and for the incremental mode the closure sizes and the
-// p99 speedup vs full. The two modes' final assignments are compared
+// p99 speedup vs full, plus the host time of admission itself
+// (admit_us_p50/p99: AdmissionQueue::submit / finish per event, placement
+// included). The two modes' final assignments are compared
 // exactly; `assignments_identical` lands in the JSON and scripts/check.sh
 // gates it together with a >= 3x p99 speedup floor at >= 1024 GPUs.
 //
@@ -43,6 +45,7 @@
 #include <cstdint>
 #include <cstdio>
 #include <cstdlib>
+#include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
@@ -150,6 +153,7 @@ struct LiveJob {
 
 struct ModeResult {
   std::vector<double> latencies_s;  ///< one per control-plane event
+  std::vector<double> admit_latencies_s;  ///< submit / finish, one per event
   double goodput = 0.0;
   std::size_t events = 0;
   std::size_t jobs = 0;
@@ -209,21 +213,28 @@ ModeResult run_mode(const Scale& scale, bool incremental) {
   };
 
   for (const workload::ChurnEvent& ev : events) {
-    // Admission (mode-independent): which jobs start or stop right now.
+    // Admission (mode-independent): which jobs start or stop right now. The
+    // submit / finish call itself is timed on its own.
     std::vector<std::uint32_t> started;
     std::vector<std::uint32_t> stopped;
+    if (!ev.arrival && live.count(ev.job.get()) > 0) stopped.push_back(ev.job.get());
+    std::optional<std::vector<GpuId>> placed;
+    std::vector<cluster::AdmissionQueue::Admission> drained;
+    const auto a0 = std::chrono::steady_clock::now();
     if (ev.arrival) {
-      if (auto placed = admission.submit(ev.job, jobs[ev.job.get()].gpus, rng)) {
-        activate(ev.job, std::move(*placed), ev.at);
-        started.push_back(ev.job.get());
-      }
+      placed = admission.submit(ev.job, jobs[ev.job.get()].gpus, rng);
     } else {
-      if (live.count(ev.job.get()) > 0) stopped.push_back(ev.job.get());
-      for (cluster::AdmissionQueue::Admission& adm :
-           admission.finish(ev.job, rng)) {
-        activate(adm.job, std::move(adm.gpus), ev.at);
-        started.push_back(adm.job.get());
-      }
+      drained = admission.finish(ev.job, rng);
+    }
+    const auto a1 = std::chrono::steady_clock::now();
+    res.admit_latencies_s.push_back(std::chrono::duration<double>(a1 - a0).count());
+    if (placed) {
+      activate(ev.job, std::move(*placed), ev.at);
+      started.push_back(ev.job.get());
+    }
+    for (cluster::AdmissionQueue::Admission& adm : drained) {
+      activate(adm.job, std::move(adm.gpus), ev.at);
+      started.push_back(adm.job.get());
     }
     res.queued_peak = std::max(res.queued_peak, admission.queue_depth());
     mutations += started.size() + stopped.size();
@@ -549,6 +560,9 @@ int main() {
       std::vector<double> xs = row.r->latencies_s;
       sort_samples(xs);
       const TailSummary tail = tail_summary_sorted(xs);
+      std::vector<double> admit = row.r->admit_latencies_s;
+      sort_samples(admit);
+      const TailSummary admit_tail = tail_summary_sorted(admit);
       const double mean_s = mean(xs);
       const bool is_inc = row.r == &inc;
       if (!is_inc) full_tail = tail;
@@ -568,6 +582,7 @@ int main() {
           "\"mean_closure_items\":%.2f,\"solves_per_event\":%.4f,"
           "\"mean_batch_width\":%.2f,\"p50_us\":%.3f,\"p99_us\":%.3f,"
           "\"p999_us\":%.3f,\"mean_us\":%.3f,\"speedup_p99_vs_full\":%.2f,"
+          "\"admit_us_p50\":%.3f,\"admit_us_p99\":%.3f,"
           "\"assignments_identical\":%s}\n",
           scale.name, gpus, row.mode,
           static_cast<unsigned long long>(kSeed), row.r->events, row.r->jobs,
@@ -575,7 +590,8 @@ int main() {
           row.r->queued_peak, row.r->goodput, row.r->mean_closure,
           row.r->solves_per_event, row.r->mean_batch_width,
           tail.p50 * 1e6, tail.p99 * 1e6, tail.p999 * 1e6, mean_s * 1e6,
-          speedup, identical ? "true" : "false");
+          speedup, admit_tail.p50 * 1e6, admit_tail.p99 * 1e6,
+          identical ? "true" : "false");
     }
   }
   std::fclose(json);

@@ -81,10 +81,12 @@ if [[ -n "${SANITIZE:-}" ]]; then
   # The warm-started control plane reuses per-link scratch across solves and
   # evicts per-comm metrics on teardown — exactly the lifetime bugs ASan/UBSan
   # catch. Run the churn smoke + the incremental-vs-full property sweep
-  # explicitly (seconds-scale even under instrumentation).
+  # explicitly (seconds-scale even under instrumentation), together with the
+  # placement tests: compact placement's per-rack free index is index
+  # arithmetic, fuzzed against the map-based reference.
   echo "== control-plane churn smoke (sanitized) =="
   MCCS_ASSIGN_SEEDS=40 build-san/tests/mccs_tests \
-    --gtest_filter='*ClusterChurn*:*IncrementalAssign*' --gtest_brief=1
+    --gtest_filter='*ClusterChurn*:*IncrementalAssign*:*Placement*' --gtest_brief=1
   # The chaos composition (faults + kills + backpressure + audit fallback +
   # restart recovery) stresses exactly the teardown/rebuild lifetimes the
   # sanitizers exist for; a trimmed sweep is seconds-scale even instrumented.
@@ -474,7 +476,7 @@ expected = {"bench", "scale", "gpus", "mode", "seed", "events", "jobs",
             "admitted", "queued_peak", "goodput", "mean_closure_items",
             "solves_per_event", "mean_batch_width",
             "p50_us", "p99_us", "p999_us", "mean_us", "speedup_p99_vs_full",
-            "assignments_identical"}
+            "admit_us_p50", "admit_us_p99", "assignments_identical"}
 lines = [l for l in open(sys.argv[1]) if l.strip()]
 if not lines:
     sys.exit("FAIL: no records in BENCH_cluster.json")

@@ -3,7 +3,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <iterator>
+#include <map>
 #include <set>
+#include <string>
 
 #include "cluster/placement.h"
 #include "helpers.h"
@@ -182,6 +186,178 @@ TEST(Placement, AllocationFailsWhenFullAndReleaseRestores) {
   EXPECT_FALSE(alloc.allocate(1, Placement::kRandom, rng).has_value());
   alloc.release(*a);
   EXPECT_TRUE(alloc.allocate(8, Placement::kCompact, rng).has_value());
+}
+
+TEST(Placement, RejectedReleaseChangesNothing) {
+  auto cl = make_testbed();  // 8 GPUs, 4 per rack
+  GpuAllocator alloc(cl);
+  GpuAllocator same(cl);  // the state alloc must keep after each rejection
+  Rng rng(1);
+  auto a = alloc.allocate(3, Placement::kCompact, rng);
+  ASSERT_TRUE(a.has_value());
+  ASSERT_EQ(same.allocate(3, Placement::kCompact, rng), a);
+  const GpuId free_gpu{7};
+  ASSERT_EQ(std::count(a->begin(), a->end(), free_gpu), 0);
+
+  const std::vector<std::vector<GpuId>> bad = {
+      {(*a)[0], GpuId{static_cast<std::uint32_t>(cl.gpu_count())}},  // out of range
+      {(*a)[0], free_gpu},                                           // already free
+      {(*a)[0], (*a)[1], (*a)[0]},                                   // duplicate
+  };
+  for (const std::vector<GpuId>& gpus : bad) {
+    EXPECT_THROW(alloc.release(gpus), ContractViolation);
+    EXPECT_EQ(alloc.free_count(), same.free_count());
+    auto next = alloc.allocate(2, Placement::kCompact, rng);
+    ASSERT_TRUE(next.has_value());
+    EXPECT_EQ(next, same.allocate(2, Placement::kCompact, rng));
+    alloc.release(*next);
+    same.release(*next);
+  }
+  alloc.release(*a);
+  EXPECT_EQ(alloc.free_count(), cl.gpu_count());
+}
+
+/// The compact placement as it was before the per-rack free index: a fresh
+/// map of every free GPU by rack on each call. Kept verbatim as the oracle.
+class ReferenceAllocator {
+ public:
+  explicit ReferenceAllocator(const Cluster& cluster)
+      : cluster_(&cluster), in_use_(cluster.gpu_count(), false), free_(cluster.gpu_count()) {}
+
+  [[nodiscard]] std::size_t free_count() const { return free_; }
+
+  std::optional<std::vector<GpuId>> allocate(int n, Placement placement, Rng& rng) {
+    MCCS_EXPECTS(n > 0);
+    if (static_cast<std::size_t>(n) > free_) return std::nullopt;
+
+    std::vector<GpuId> chosen;
+    chosen.reserve(static_cast<std::size_t>(n));
+
+    if (placement == Placement::kRandom) {
+      std::vector<GpuId> free_gpus;
+      for (std::uint32_t g = 0; g < in_use_.size(); ++g) {
+        if (!in_use_[g]) free_gpus.push_back(GpuId{g});
+      }
+      rng.shuffle(free_gpus);
+      chosen.assign(free_gpus.begin(), free_gpus.begin() + n);
+    } else {
+      std::map<std::uint32_t, std::vector<GpuId>> by_rack;
+      for (std::uint32_t g = 0; g < in_use_.size(); ++g) {
+        if (!in_use_[g]) by_rack[cluster_->rack_of_gpu(GpuId{g}).get()].push_back(GpuId{g});
+      }
+      int remaining = n;
+      while (remaining > 0) {
+        std::uint32_t best_rack = 0;
+        std::size_t best_size = 0;
+        bool found_fit = false;
+        std::size_t fit_size = static_cast<std::size_t>(-1);
+        for (const auto& [rack, gpus] : by_rack) {
+          if (gpus.empty()) continue;
+          if (gpus.size() >= static_cast<std::size_t>(remaining) &&
+              gpus.size() < fit_size) {
+            found_fit = true;
+            fit_size = gpus.size();
+            best_rack = rack;
+          }
+          if (!found_fit && gpus.size() > best_size) {
+            best_size = gpus.size();
+            best_rack = rack;
+          }
+        }
+        auto& gpus = by_rack[best_rack];
+        const int take = std::min<int>(remaining, static_cast<int>(gpus.size()));
+        std::sort(gpus.begin(), gpus.end());
+        chosen.insert(chosen.end(), gpus.begin(), gpus.begin() + take);
+        gpus.erase(gpus.begin(), gpus.begin() + take);
+        remaining -= take;
+      }
+    }
+
+    for (GpuId g : chosen) {
+      MCCS_CHECK(!in_use_[g.get()], "allocator chose an occupied GPU");
+      in_use_[g.get()] = true;
+    }
+    free_ -= static_cast<std::size_t>(n);
+    return chosen;
+  }
+
+  void release(const std::vector<GpuId>& gpus) {
+    for (GpuId g : gpus) {
+      MCCS_EXPECTS(in_use_[g.get()]);
+      in_use_[g.get()] = false;
+    }
+    free_ += gpus.size();
+  }
+
+ private:
+  const Cluster* cluster_;
+  std::vector<bool> in_use_;
+  std::size_t free_;
+};
+
+/// Racks interleaved across add_host calls with unequal sizes, so a rack's
+/// GPU ids are not contiguous and rack ids do not follow GPU order.
+Cluster make_interleaved_racks() {
+  Cluster c;
+  const std::uint32_t racks[] = {2, 0, 2, 1, 0, 2, 3, 1, 2, 0, 3, 2};
+  const int gpus[] = {4, 2, 8, 4, 2, 4, 8, 2, 4, 2, 2, 8};
+  for (std::size_t h = 0; h < std::size(racks); ++h) {
+    c.add_host(RackId{racks[h]}, PodId{0}, gpus[h], {NodeId{0}});
+  }
+  return c;
+}
+
+std::size_t largest_rack(const Cluster& cl) {
+  std::map<std::uint32_t, std::size_t> sizes;
+  for (GpuId g : cl.all_gpus()) ++sizes[cl.rack_of_gpu(g).get()];
+  std::size_t largest = 0;
+  for (const auto& [rack, size] : sizes) largest = std::max(largest, size);
+  return largest;
+}
+
+TEST(Placement, CompactMatchesReferenceUnderChurn) {
+  struct Case {
+    const char* name;
+    Cluster cluster;
+    int ops;
+  };
+  std::vector<Case> cases;
+  cases.push_back({"testbed", make_testbed(), 400});
+  cases.push_back({"large_sim", make_large_sim_cluster(), 600});
+  cases.push_back({"clos_4k", make_scaled_sim_cluster(4096), 600});
+  cases.push_back({"fat_tree", make_fat_tree(FatTreeSpec{}), 400});
+  cases.push_back({"interleaved", make_interleaved_racks(), 600});
+
+  for (const Case& c : cases) {
+    const int max_n = static_cast<int>(2 * largest_rack(c.cluster));
+    for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+      SCOPED_TRACE(std::string(c.name) + " seed " + std::to_string(seed));
+      GpuAllocator alloc(c.cluster);
+      ReferenceAllocator ref(c.cluster);
+      Rng drive(seed);
+      Rng rng(seed * 7919);
+      Rng ref_rng(seed * 7919);
+      std::vector<std::vector<GpuId>> live;
+      for (int op = 0; op < c.ops; ++op) {
+        if (!live.empty() && drive.uniform() < 0.45) {
+          const std::size_t i = drive.below(live.size());
+          alloc.release(live[i]);
+          ref.release(live[i]);
+          live[i] = std::move(live.back());
+          live.pop_back();
+        } else {
+          const int n = 1 + static_cast<int>(drive.below(static_cast<std::uint64_t>(max_n)));
+          const Placement p =
+              drive.uniform() < 0.7 ? Placement::kCompact : Placement::kRandom;
+          auto got = alloc.allocate(n, p, rng);
+          auto want = ref.allocate(n, p, ref_rng);
+          ASSERT_EQ(got, want) << "op " << op << " n " << n;
+          if (got) live.push_back(std::move(*got));
+        }
+        ASSERT_EQ(alloc.free_count(), ref.free_count()) << "op " << op;
+      }
+    }
+  }
 }
 
 }  // namespace
